@@ -269,45 +269,57 @@ def _beta_values(mesh: BulkSurfaceMesh, beta) -> np.ndarray:
     return vals
 
 
-def _bulk_operators(mesh: BulkSurfaceMesh) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Lumped bulk mass vector and bulk stiffness (coefficient-free)."""
-    n = mesh.n_nodes
-    m = np.zeros(n)
-    rows, cols, vals = [], [], []
+def _p1_cell_gradients(mesh: BulkSurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Cell volumes and the gradients of the barycentric (P1) basis.
+
+    Returns (vol, G) with vol of shape (ncells,) and G of shape
+    (ncells, dim + 1, dim): G[c, l] is the gradient on cell c of the basis
+    function of its l-th node.
+    """
+    cells = mesh.bulk_cells
     if mesh.dim == 1:
         x = mesh.bulk_nodes[:, 0]
-        for i, j in mesh.bulk_cells:
-            hc = x[j] - x[i]
-            m[i] += hc / 2.0
-            m[j] += hc / 2.0
-            k = 1.0 / hc
-            rows += [i, i, j, j]
-            cols += [i, j, i, j]
-            vals += [k, -k, -k, k]
+        hc = x[cells[:, 1]] - x[cells[:, 0]]
+        return hc, np.column_stack([-1.0 / hc, 1.0 / hc])[:, :, None]
+    pts = mesh.bulk_nodes
+    a, b, c = pts[cells[:, 0]], pts[cells[:, 1]], pts[cells[:, 2]]
+    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+    G = np.stack(
+        [
+            np.column_stack([b[:, 1] - c[:, 1], c[:, 0] - b[:, 0]]),
+            np.column_stack([c[:, 1] - a[:, 1], a[:, 0] - c[:, 0]]),
+            np.column_stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]]),
+        ],
+        axis=1,
+    ) / area2[:, None, None]
+    return 0.5 * area2, G
+
+
+def _bulk_operators(mesh: BulkSurfaceMesh) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Lumped bulk mass vector and bulk stiffness (coefficient-free).
+
+    Entries are emitted cell by cell, then by local (row, column), so
+    ``sum_duplicates`` adds each global entry's terms in a fixed order.
+    """
+    n = mesh.n_nodes
+    cells = mesh.bulk_cells
+    nloc = mesh.dim + 1
+    vol, G = _p1_cell_gradients(mesh)
+    if mesh.dim == 1:
+        # closed form 1/h: h * (1/h)^2 would differ in the last bit
+        local = (1.0 / vol)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     else:
-        pts = mesh.bulk_nodes
-        for tri in mesh.bulk_cells:
-            a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-            area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            area = 0.5 * area2
-            # gradients of the barycentric basis functions
-            g = (
-                np.array(
-                    [
-                        [b[1] - c[1], c[0] - b[0]],
-                        [c[1] - a[1], a[0] - c[0]],
-                        [a[1] - b[1], b[0] - a[0]],
-                    ]
-                )
-                / area2
-            )
-            for li in range(3):
-                m[tri[li]] += area / 3.0
-                for lj in range(3):
-                    rows.append(tri[li])
-                    cols.append(tri[lj])
-                    vals.append(area * float(g[li] @ g[lj]))
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        # per-cell matmul rounds like a dot product of two gradients; an
+        # elementwise sum of products differs in the last bit on the disk
+        local = vol[:, None, None] * (G @ G.transpose(0, 2, 1))
+    m = np.bincount(
+        cells.ravel(), weights=np.repeat(vol / nloc, nloc), minlength=n
+    )
+    rows = np.repeat(cells, nloc, axis=1).ravel()
+    cols = np.tile(cells, (1, nloc)).ravel()
+    K = sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
     K.sum_duplicates()
     return m, K
 
@@ -322,18 +334,21 @@ def _surface_operators(mesh: BulkSurfaceMesh) -> tuple[np.ndarray, sp.csr_matrix
     nb = mesh.n_boundary
     if mesh.dim == 1:
         return np.ones(nb), sp.csr_matrix((n, n))
-    pos_in_boundary = {int(node): k for k, node in enumerate(mesh.boundary_nodes)}
-    m = np.zeros(nb)
-    rows, cols, vals = [], [], []
+    edges = mesh.boundary_edges
+    pos_in_boundary = np.empty(n, dtype=int)
+    pos_in_boundary[mesh.boundary_nodes] = np.arange(nb)
     pts = mesh.bulk_nodes
-    for i, j in mesh.boundary_edges:
-        ell = float(np.linalg.norm(pts[j] - pts[i]))
-        m[pos_in_boundary[int(i)]] += ell / 2.0
-        m[pos_in_boundary[int(j)]] += ell / 2.0
-        k = 1.0 / ell
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        vals += [k, -k, -k, k]
+    d = pts[edges[:, 1]] - pts[edges[:, 0]]
+    # per-edge dot product, as the norm of one vector rounds; the row-wise
+    # norm(d, axis=1) differs in the last bit on the disk
+    ell = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    m = np.bincount(
+        pos_in_boundary[edges].ravel(), weights=np.repeat(ell / 2.0, 2), minlength=nb
+    )
+    k = 1.0 / ell
+    rows = np.repeat(edges, 2, axis=1).ravel()
+    cols = np.tile(edges, (1, 2)).ravel()
+    vals = np.column_stack([k, -k, -k, k]).ravel()
     K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     K.sum_duplicates()
     return m, K

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import DiscreteSystem, norm_X2
+from .assembly import DiscreteSystem, _p1_cell_gradients, norm_X2
 from .evolution import Trajectory, recover_normal_flux, solve_backward
 from .mesh import BulkSurfaceMesh, EtaField
 
@@ -303,21 +303,10 @@ def pointwise_lambda_floor(mesh: BulkSurfaceMesh, eta: EtaField) -> np.ndarray:
     (the interior critical point eta must have); such nodes report inf.
     The sweep only records this diagnostic, it does not enforce it.
     """
-    if mesh.kind == "interval":
-        lap = np.full(mesh.n_nodes, -2.0)
-    elif mesh.kind == "disk":
-        lap = np.full(mesh.n_nodes, -4.0)
-    elif mesh.kind == "rect":
-        lx, ly = mesh.extents["lx"], mesh.extents["ly"]
-        scale = (lx / 2.0) ** 2 * (ly / 2.0) ** 2
-        x, y = mesh.bulk_nodes[:, 0], mesh.bulk_nodes[:, 1]
-        lap = -2.0 * (y * (ly - y) + x * (lx - x)) / scale
-    else:
-        raise ValueError(f"unsupported mesh kind {mesh.kind!r}")
     grad_sq = np.sum(eta.gradient**2, axis=1)
     out = np.full(mesh.n_nodes, np.inf)
     nz = grad_sq > 0
-    out[nz] = 2.0 * np.abs(lap[nz]) / grad_sq[nz]
+    out[nz] = 2.0 * np.abs(eta.laplacian[nz]) / grad_sq[nz]
     return out
 
 
@@ -326,38 +315,16 @@ def _cell_gradient_ops(mesh: BulkSurfaceMesh):
     cells = mesh.bulk_cells
     ncells = cells.shape[0]
     n = mesh.n_nodes
-    if mesh.dim == 1:
-        x = mesh.bulk_nodes[:, 0]
-        hc = x[cells[:, 1]] - x[cells[:, 0]]
-        rows = np.repeat(np.arange(ncells), 2)
-        cols = cells.ravel()
-        vals = np.column_stack([-1.0 / hc, 1.0 / hc]).ravel()
-        grads = [sp.csr_matrix((vals, (rows, cols)), shape=(ncells, n))]
-        vol = hc
-    else:
-        pts = mesh.bulk_nodes
-        a, b, c = pts[cells[:, 0]], pts[cells[:, 1]], pts[cells[:, 2]]
-        area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
-            b[:, 1] - a[:, 1]
-        ) * (c[:, 0] - a[:, 0])
-        gx = np.column_stack(
-            [b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]]
-        ) / area2[:, None]
-        gy = np.column_stack(
-            [c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]]
-        ) / area2[:, None]
-        rows = np.repeat(np.arange(ncells), 3)
-        cols = cells.ravel()
-        grads = [
-            sp.csr_matrix((gx.ravel(), (rows, cols)), shape=(ncells, n)),
-            sp.csr_matrix((gy.ravel(), (rows, cols)), shape=(ncells, n)),
-        ]
-        vol = 0.5 * area2
     nodes_per_cell = mesh.dim + 1
-    rows = cells.ravel()
-    cols = np.repeat(np.arange(ncells), nodes_per_cell)
+    vol, G = _p1_cell_gradients(mesh)
+    cell_ids = np.repeat(np.arange(ncells), nodes_per_cell)
+    node_ids = cells.ravel()
+    grads = [
+        sp.csr_matrix((G[:, :, d].ravel(), (cell_ids, node_ids)), shape=(ncells, n))
+        for d in range(mesh.dim)
+    ]
     vals = np.repeat(vol / nodes_per_cell, nodes_per_cell)
-    scatter = sp.csr_matrix((vals, (rows, cols)), shape=(n, ncells))
+    scatter = sp.csr_matrix((vals, (node_ids, cell_ids)), shape=(n, ncells))
     return grads, scatter
 
 

@@ -59,6 +59,7 @@ from .carleman import CarlemanParams, carleman_sweep, pointwise_lambda_floor
 from .control import ControlProblem, synthesize_control, verify_null
 from .evolution import (
     BoundarySignal,
+    _write_series,
     solve_backward,
     solve_forward,
     trajectory_norms,
@@ -501,16 +502,12 @@ def _run_control(sys_, mesh, config, out, manifest, threads) -> None:
 
     scaling_rows = []
     for idx, (eps, (problem, result, report)) in enumerate(zip(eps_list, solved)):
-        rows = (
-            (t, j, result.g.values[n, j])
-            for n, t in enumerate(result.g_times)
-            for j in range(sys_.n_boundary)
-        )
-        _write_csv(
+        _write_series(
             _record(manifest, out, f"control_{idx}.csv"),
+            result.g_times,
+            result.g.values,
             "t,boundary_node,g",
-            rows,
-            config.config_hash,
+            [f"config_hash={config.config_hash}"],
         )
         _write_json(
             _record(manifest, out, f"result_{idx}.json"),

@@ -5,11 +5,12 @@ The forward system is stepped with the theta-scheme
     (M + theta dt K) U^{n+1} = (M - (1 - theta) dt K) U^n + dt B g_hat^n,
 
 with theta = 0.5 (Crank-Nicolson) or 1 (implicit Euler) and the linear
-solves done by a sparse factorization computed once.  Since M and K are
-symmetric, the one-step propagator S = (M + theta dt K)^{-1} (M - (1-theta)
-dt K) is self-adjoint in the M inner product, so the backward solve is the
-same recursion run on the reversed time index and is the exact transpose of
-the forward step.  The resulting discrete duality identity
+solves done by a sparse LU factorization, computed anew by every solve.
+Since M and K are symmetric, the one-step propagator
+S = (M + theta dt K)^{-1} (M - (1-theta) dt K) is self-adjoint in the M
+inner product, so the backward solve is the same recursion run on the
+reversed time index and is the exact transpose of the forward step.  The
+resulting discrete duality identity
 
     <U^N, Phi^N>_M - <U^0, Phi^0>_M = sum_n dt g_hat^n . B^T Psi^n,
     Psi^n = theta Phi^n + (1 - theta) Phi^{n+1},
@@ -335,10 +336,21 @@ def trajectory_norms(sys: DiscreteSystem, traj: Trajectory) -> np.ndarray:
 
 def trajectory_to_csv(traj: Trajectory, path, header_lines: list[str] | None = None) -> None:
     """Write a trajectory as CSV with columns t, node_id, value."""
+    _write_series(path, traj.times, traj.states, "t,node_id,value", header_lines or [])
+
+
+def _write_series(path, times, values, columns: str, header_lines: list[str]) -> None:
+    """Write rows ``t,i,values[n, i]`` for every time level n and column i.
+
+    Numbers are written as ``%.17g`` (what ``f"{v:.17g}"`` gives, nan and
+    inf included).  Each time level is formatted by one C-level ``%`` on a
+    template built from the column ids once, and written before the next is
+    formatted, so memory does not grow with the number of time levels.
+    """
+    parts = [""] + [f",{i},%.17g\n" for i in range(values.shape[1])]
     with open(path, "w") as fh:
-        for line in header_lines or []:
+        for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write("t,node_id,value\n")
-        for t, state in zip(traj.times, traj.states):
-            for i, v in enumerate(state):
-                fh.write(f"{t:.17g},{i},{v:.17g}\n")
+        fh.write(columns + "\n")
+        for t, row in zip(times, values):
+            fh.write(f"{t:.17g}".join(parts) % tuple(row.tolist()))

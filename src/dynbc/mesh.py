@@ -74,12 +74,13 @@ class EtaField:
     """Carleman auxiliary field on a mesh.
 
     Positive at interior nodes, zero at boundary nodes, with analytic
-    gradient.  ``sup_norm`` is the max of the nodal values and is the value
-    used inside the weight formulas.
+    gradient and Laplacian.  ``sup_norm`` is the max of the nodal values and
+    is the value used inside the weight formulas.
     """
 
     values: np.ndarray
     gradient: np.ndarray
+    laplacian: np.ndarray
     sup_norm: float
     boundary_normal_derivative: np.ndarray
     corner_boundary_indices: np.ndarray
@@ -129,43 +130,26 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
     ys = np.linspace(0.0, ly, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
+    nid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # nid[j, i]
 
-    def nid(i: int, j: int) -> int:
-        return j * (nx + 1) + i
+    # Two triangles per square, squares row by row.
+    p00, p10 = nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel()
+    p01, p11 = nid[1:, :-1].ravel(), nid[1:, 1:].ravel()
+    cells = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
 
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            p00, p10 = nid(i, j), nid(i + 1, j)
-            p01, p11 = nid(i, j + 1), nid(i + 1, j + 1)
-            cells.append((p00, p10, p11))
-            cells.append((p00, p11, p01))
-    cells = np.array(cells, dtype=int)
-
-    # Perimeter walk, counterclockwise from (0, 0).
-    bottom = [nid(i, 0) for i in range(nx + 1)]
-    right = [nid(nx, j) for j in range(1, ny + 1)]
-    top = [nid(i, ny) for i in range(nx - 1, -1, -1)]
-    left = [nid(0, j) for j in range(ny - 1, 0, -1)]
-    boundary = np.array(bottom + right + top + left, dtype=int)
-    nb = boundary.size
+    # Perimeter walk, counterclockwise from (0, 0): bottom, right, top, left.
+    boundary = np.concatenate(
+        [nid[0, :], nid[1:, nx], nid[ny, nx - 1 :: -1], nid[ny - 1 : 0 : -1, 0]]
+    )
     edges = np.column_stack([boundary, np.roll(boundary, -1)])
 
-    side_normal = {}
-    for i in range(nx + 1):
-        side_normal.setdefault(nid(i, 0), []).append((0.0, -1.0))
-        side_normal.setdefault(nid(i, ny), []).append((0.0, 1.0))
-    for j in range(ny + 1):
-        side_normal.setdefault(nid(0, j), []).append((-1.0, 0.0))
-        side_normal.setdefault(nid(nx, j), []).append((1.0, 0.0))
-    normals = np.zeros((nb, 2))
-    corners = []
-    for k, node in enumerate(boundary):
-        contribs = np.array(side_normal[node])
-        if contribs.shape[0] > 1:
-            corners.append(k)
-        v = contribs.sum(axis=0)
-        normals[k] = v / np.linalg.norm(v)
+    # Sum of the normals of the sides a node lies on; corners lie on two.
+    i, j = boundary % (nx + 1), boundary // (nx + 1)
+    side_sum = np.column_stack(
+        [(i == nx).astype(float) - (i == 0), (j == ny).astype(float) - (j == 0)]
+    )
+    normals = side_sum / np.linalg.norm(side_sum, axis=1, keepdims=True)
+    corners = np.flatnonzero(np.all(side_sum != 0.0, axis=1))
 
     h = _max_cell_diameter(nodes, cells)
     return BulkSurfaceMesh(
@@ -178,7 +162,7 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
         h=h,
         kind="rect",
         extents={"lx": float(lx), "ly": float(ly)},
-        corner_boundary_indices=np.array(corners, dtype=int),
+        corner_boundary_indices=corners,
     )
 
 
@@ -243,8 +227,8 @@ def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
     rectangle [0,lx] x [0,ly]:  eta = x(lx - x) y(ly - y), scaled so the
         analytic max (at the center) is 1.
 
-    Gradients are evaluated analytically at the nodes and the boundary
-    normal derivative is grad(eta) . normal.  ``sup_norm`` is the discrete
+    Gradients and Laplacians are evaluated analytically at the nodes and
+    the boundary normal derivative is grad(eta) . normal.  ``sup_norm`` is the discrete
     max of the nodal values.
     """
     x = mesh.bulk_nodes
@@ -253,11 +237,13 @@ def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
         xv = x[:, 0]
         values = (xv - a) * (b - xv)
         grad = (a + b - 2.0 * xv).reshape(-1, 1)
+        lap = np.full(mesh.n_nodes, -2.0)
     elif mesh.kind == "disk":
         rho = mesh.extents["rho"]
         r2 = np.sum(x**2, axis=1)
         values = rho**2 - r2
         grad = -2.0 * x
+        lap = np.full(mesh.n_nodes, -4.0)
     elif mesh.kind == "rect":
         lx, ly = mesh.extents["lx"], mesh.extents["ly"]
         scale = (lx / 2.0) ** 2 * (ly / 2.0) ** 2
@@ -266,6 +252,7 @@ def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
         gx = (lx - 2.0 * xv) * yv * (ly - yv) / scale
         gy = xv * (lx - xv) * (ly - 2.0 * yv) / scale
         grad = np.column_stack([gx, gy])
+        lap = -2.0 * (yv * (ly - yv) + xv * (lx - xv)) / scale
     else:
         raise ValueError(f"unsupported mesh kind {mesh.kind!r}")
 
@@ -278,6 +265,7 @@ def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
     return EtaField(
         values=values,
         gradient=grad,
+        laplacian=lap,
         sup_norm=float(values.max()),
         boundary_normal_derivative=normal_der,
         corner_boundary_indices=mesh.corner_boundary_indices.copy(),
@@ -301,17 +289,15 @@ def validate_mesh(mesh: BulkSurfaceMesh) -> None:
         counts = np.bincount(mesh.bulk_cells.ravel(), minlength=mesh.n_nodes)
         assert set(np.flatnonzero(counts == 1)) == set(nb.tolist())
     else:
-        facet_count: dict[tuple[int, int], int] = {}
-        for tri in mesh.bulk_cells:
-            for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(e), max(e))
-                facet_count[key] = facet_count.get(key, 0) + 1
-        complex_boundary = {k for k, v in facet_count.items() if v == 1}
-        stored = {
-            (min(int(i), int(j)), max(int(i), int(j)))
-            for i, j in mesh.boundary_edges
-        }
-        assert complex_boundary == stored
+        cells = mesh.bulk_cells
+        facets = np.sort(
+            np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]),
+            axis=1,
+        )
+        unique_facets, counts = np.unique(facets, axis=0, return_counts=True)
+        complex_boundary = unique_facets[counts == 1]
+        stored = np.unique(np.sort(mesh.boundary_edges, axis=1), axis=0)
+        assert np.array_equal(complex_boundary, stored)
         assert set(np.unique(mesh.boundary_edges).tolist()) == set(nb.tolist())
 
 

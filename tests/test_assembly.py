@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from dynbc import assembly
 from dynbc import (
     StatePair,
     assemble,
@@ -185,3 +187,101 @@ def test_export_coordinate_format(tmp_path):
     for r, c, v in triples:
         dense[int(r), int(c)] = float(v)
     np.testing.assert_allclose(dense, s.K.toarray())
+
+
+def _loop_bulk_operators(mesh):
+    """Per-cell loop assembly: the reference for the array kernel."""
+    n = mesh.n_nodes
+    m = np.zeros(n)
+    rows, cols, vals = [], [], []
+    if mesh.dim == 1:
+        x = mesh.bulk_nodes[:, 0]
+        for i, j in mesh.bulk_cells:
+            hc = x[j] - x[i]
+            m[i] += hc / 2.0
+            m[j] += hc / 2.0
+            k = 1.0 / hc
+            rows += [i, i, j, j]
+            cols += [i, j, i, j]
+            vals += [k, -k, -k, k]
+    else:
+        pts = mesh.bulk_nodes
+        for tri in mesh.bulk_cells:
+            a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
+            area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            area = 0.5 * area2
+            g = (
+                np.array(
+                    [
+                        [b[1] - c[1], c[0] - b[0]],
+                        [c[1] - a[1], a[0] - c[0]],
+                        [a[1] - b[1], b[0] - a[0]],
+                    ]
+                )
+                / area2
+            )
+            for li in range(3):
+                m[tri[li]] += area / 3.0
+                for lj in range(3):
+                    rows.append(tri[li])
+                    cols.append(tri[lj])
+                    vals.append(area * float(g[li] @ g[lj]))
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    K.sum_duplicates()
+    return m, K
+
+
+def _loop_surface_operators(mesh):
+    """Per-edge loop assembly: the reference for the array kernel."""
+    n = mesh.n_nodes
+    nb = mesh.n_boundary
+    if mesh.dim == 1:
+        return np.ones(nb), sp.csr_matrix((n, n))
+    pos_in_boundary = {int(node): k for k, node in enumerate(mesh.boundary_nodes)}
+    m = np.zeros(nb)
+    rows, cols, vals = [], [], []
+    pts = mesh.bulk_nodes
+    for i, j in mesh.boundary_edges:
+        ell = float(np.linalg.norm(pts[j] - pts[i]))
+        m[pos_in_boundary[int(i)]] += ell / 2.0
+        m[pos_in_boundary[int(j)]] += ell / 2.0
+        k = 1.0 / ell
+        rows += [i, i, j, j]
+        cols += [i, j, i, j]
+        vals += [k, -k, -k, k]
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    K.sum_duplicates()
+    return m, K
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        build_rect_mesh(1.3, 0.7, 7, 5),
+        build_disk_mesh(1.0, 8, 32),
+        # on this disk a row-wise norm of the edge vectors is not bitwise
+        # the per-edge length
+        build_disk_mesh(1.0, 16, 64),
+        build_interval_mesh(0.0, 1.0, 8),
+    ],
+    ids=["rect7x5", "disk8x32", "disk16x64", "interval8"],
+)
+def test_array_assembly_bitwise_equals_loop_oracle(mesh, monkeypatch):
+    def beta(x):
+        return 1.0 + x[:, 0] ** 2
+
+    fast = assemble(mesh, gamma=0.8, delta=0.3, beta=beta)
+    monkeypatch.setattr(assembly, "_bulk_operators", _loop_bulk_operators)
+    monkeypatch.setattr(assembly, "_surface_operators", _loop_surface_operators)
+    slow = assemble(mesh, gamma=0.8, delta=0.3, beta=beta)
+    for name in ("M_diag", "m_bulk", "m_surf"):
+        assert _bitwise_equal(getattr(fast, name), getattr(slow, name)), name
+    for name in ("K", "K_bulk", "K_surf", "B"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        for part in ("indptr", "indices", "data"):
+            assert _bitwise_equal(getattr(a, part), getattr(b, part)), (name, part)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from dynbc import cli
 from dynbc.cli import ConfigError, ExperimentConfig, main, run
 
 
@@ -207,3 +209,38 @@ def test_profile_beta(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 0
+
+
+def test_control_csv_bytes_equal_loop_oracle(tmp_path, monkeypatch):
+    results = []
+    synthesize = cli.synthesize_control
+
+    def capture(problem):
+        results.append(synthesize(problem))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "synthesize_control", capture)
+    cfg = base_config(task="control")
+    cfg["geometry"] = {"kind": "disk", "rho": 1.0, "nr": 2, "ntheta": 8}
+    cfg["params"] = {"u0": {"kind": "random", "seed": 5}, "eps": [1e-2, 1e-4]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    config_hash = json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    def fmt(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return f"{float(v):.17g}"
+
+    assert len(results) == 2
+    for idx, result in enumerate(results):
+        oracle = tmp_path / f"oracle_{idx}.csv"
+        with open(oracle, "w") as fh:
+            fh.write(f"# config_hash={config_hash}\n")
+            fh.write("t,boundary_node,g\n")
+            for n, t in enumerate(result.g_times):
+                for j in range(result.g.values.shape[1]):
+                    row = (t, j, result.g.values[n, j])
+                    fh.write(",".join(fmt(v) for v in row) + "\n")
+        assert (out / f"control_{idx}.csv").read_bytes() == oracle.read_bytes()

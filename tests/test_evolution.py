@@ -14,6 +14,7 @@ from dynbc import (
     solve_backward,
     solve_forward,
     trajectory_norms,
+    trajectory_to_csv,
 )
 
 
@@ -247,3 +248,28 @@ def test_step_sampled_signal_matches_node_average():
         f1 = solve_forward(s, U0, BoundarySignal(node_vals), 1.0, 16, theta)
         f2 = solve_forward(s, U0, BoundarySignal(step_vals), 1.0, 16, theta)
         np.testing.assert_allclose(f1.states, f2.states, atol=1e-14)
+
+
+def test_trajectory_csv_bytes_equal_loop_oracle(tmp_path):
+    states = np.array(
+        [
+            [np.nan, np.inf, -np.inf, -0.0],
+            [1e-300, 1.2345678901234568e17, 5e-324, 0.1],
+            [-1.0 / 3.0, 0.0, 2.0**-1074, 1.7976931348623157e308],
+        ]
+    )
+    traj = Trajectory(
+        times=np.array([0.0, 1.0 / 3.0, 2.0 / 3.0]), states=states, theta=0.5, dt=1.0 / 3.0
+    )
+    header = ["config_hash=abc", "note=two"]
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w") as fh:
+        for line in header:
+            fh.write(f"# {line}\n")
+        fh.write("t,node_id,value\n")
+        for t, state in zip(traj.times, traj.states):
+            for i, v in enumerate(state):
+                fh.write(f"{t:.17g},{i},{v:.17g}\n")
+    got = tmp_path / "got.csv"
+    trajectory_to_csv(traj, got, header_lines=header)
+    assert got.read_bytes() == oracle.read_bytes()

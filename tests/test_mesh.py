@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -164,3 +165,85 @@ def test_mesh_json_export():
     assert len(payload["cells"]) == m.bulk_cells.shape[0]
     assert payload["boundary_nodes"] == m.boundary_nodes.tolist()
     assert len(payload["normals"]) == m.n_boundary
+
+
+def _loop_rect_arrays(lx, ly, nx, ny):
+    """Per-node loop construction of the rectangle: the reference for the array code."""
+
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            p00, p10 = nid(i, j), nid(i + 1, j)
+            p01, p11 = nid(i, j + 1), nid(i + 1, j + 1)
+            cells.append((p00, p10, p11))
+            cells.append((p00, p11, p01))
+    bottom = [nid(i, 0) for i in range(nx + 1)]
+    right = [nid(nx, j) for j in range(1, ny + 1)]
+    top = [nid(i, ny) for i in range(nx - 1, -1, -1)]
+    left = [nid(0, j) for j in range(ny - 1, 0, -1)]
+    boundary = np.array(bottom + right + top + left, dtype=int)
+    side_normal = {}
+    for i in range(nx + 1):
+        side_normal.setdefault(nid(i, 0), []).append((0.0, -1.0))
+        side_normal.setdefault(nid(i, ny), []).append((0.0, 1.0))
+    for j in range(ny + 1):
+        side_normal.setdefault(nid(0, j), []).append((-1.0, 0.0))
+        side_normal.setdefault(nid(nx, j), []).append((1.0, 0.0))
+    normals = np.zeros((boundary.size, 2))
+    corners = []
+    for k, node in enumerate(boundary):
+        contribs = np.array(side_normal[node])
+        if contribs.shape[0] > 1:
+            corners.append(k)
+        v = contribs.sum(axis=0)
+        normals[k] = v / np.linalg.norm(v)
+    return {
+        "bulk_cells": np.array(cells, dtype=int),
+        "boundary_nodes": boundary,
+        "boundary_edges": np.column_stack([boundary, np.roll(boundary, -1)]),
+        "outward_normals": normals,
+        "corner_boundary_indices": np.array(corners, dtype=int),
+    }
+
+
+@pytest.mark.parametrize("args", [(1, 1, 2, 2), (1.3, 0.7, 7, 5), (2, 1, 3, 9)])
+def test_rect_arrays_equal_loop_oracle(args):
+    m = build_rect_mesh(*args)
+    for name, want in _loop_rect_arrays(*args).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_validate_mesh_rejects_wrong_boundary_edges():
+    m = build_rect_mesh(1, 1, 3, 3)
+    edges = m.boundary_edges.copy()
+    edges[0] = (m.boundary_nodes[0], m.n_nodes // 2)
+    with pytest.raises(AssertionError):
+        validate_mesh(dataclasses.replace(m, boundary_edges=edges))
+
+
+def test_eta_laplacian_matches_second_differences():
+    # eta is quadratic in each coordinate, so centered second differences
+    # of its nodal values are exact up to roundoff
+    nx, ny, lx, ly = 8, 6, 1.3, 0.7
+    m = build_rect_mesh(lx, ly, nx, ny)
+    eta = build_eta(m)
+    v = eta.values.reshape(ny + 1, nx + 1)
+    hx, hy = lx / nx, ly / ny
+    lap = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hx**2 + (
+        v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]
+    ) / hy**2
+    got = eta.laplacian.reshape(ny + 1, nx + 1)[1:-1, 1:-1]
+    np.testing.assert_allclose(got, lap, rtol=1e-9)
+
+    m = build_interval_mesh(-0.5, 1.5, 10)
+    eta = build_eta(m)
+    h = 2.0 / 10
+    lap = (eta.values[2:] - 2 * eta.values[1:-1] + eta.values[:-2]) / h**2
+    np.testing.assert_allclose(eta.laplacian[1:-1], lap, rtol=1e-9)
+
+    np.testing.assert_array_equal(build_eta(build_disk_mesh(1.5, 3, 12)).laplacian, -4.0)
