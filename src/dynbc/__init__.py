@@ -40,6 +40,7 @@ from .control import (
 from .evolution import (
     BoundarySignal,
     FluxPair,
+    Propagator,
     Trajectory,
     duality_residual,
     duhamel_final,

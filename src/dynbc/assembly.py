@@ -198,6 +198,24 @@ def norm_X2(sys: DiscreteSystem, U: np.ndarray) -> float:
     return float(np.sqrt(max(inner_X2(sys, U, U), 0.0)))
 
 
+def _unit_normal_draws(
+    sys: DiscreteSystem, rng: np.random.Generator, count: int
+) -> list[np.ndarray]:
+    """count standard normal states from rng, each scaled to unit M-norm.
+
+    A draw of M-norm zero is rejected and drawn again.
+    """
+    draws = []
+    for _ in range(count):
+        v = rng.standard_normal(sys.ndof)
+        nv = norm_X2(sys, v)
+        while nv == 0.0:
+            v = rng.standard_normal(sys.ndof)
+            nv = norm_X2(sys, v)
+        draws.append(v / nv)
+    return draws
+
+
 def smallest_eigenpair(
     sys: DiscreteSystem,
     tol: float = 1e-10,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import DiscreteSystem, _p1_cell_gradients, norm_X2
-from .evolution import Trajectory, recover_normal_flux, solve_backward
+from .assembly import DiscreteSystem, _p1_cell_gradients, _unit_normal_draws
+from .evolution import Propagator, Trajectory, recover_normal_flux
 from .mesh import BulkSurfaceMesh, EtaField
 
 __all__ = [
@@ -135,9 +135,17 @@ def _interior_weights(
 
 
 def carleman_lhs(
-    sys: DiscreteSystem, adj: Trajectory, params: CarlemanParams
+    sys: DiscreteSystem,
+    adj: Trajectory,
+    params: CarlemanParams,
+    *,
+    grad_sq: np.ndarray | None = None,
 ) -> float:
-    """Weighted left-hand side evaluated on an adjoint trajectory."""
+    """Weighted left-hand side evaluated on an adjoint trajectory.
+
+    grad_sq, when given, is ``_nodal_grad_sq(sys, adj.states[1:-1])``; it
+    does not depend on params, so a sweep computes it once per trajectory.
+    """
     w = _interior_weights(params, sys, adj)
     phi = adj.states[1:-1]
     dt = adj.dt
@@ -150,7 +158,8 @@ def carleman_lhs(
     )
     term_sq = dt * bulk_sq.sum()
 
-    grad_sq = _nodal_grad_sq(sys, phi)
+    if grad_sq is None:
+        grad_sq = _nodal_grad_sq(sys, phi)
     bulk_gr = (
         w.theta[:, None]
         * w.xi[None, :]
@@ -224,35 +233,36 @@ def carleman_sweep(
     """Evaluate both sides over a (lambda, R) grid and seeded random final data.
 
     Each sample is a standard normal final datum normalized to unit M-norm
-    (the zero draw is rejected).  One backward solve per sample and horizon
-    serves every grid cell; results are merged in grid order, so a fixed
-    seed reproduces the table bit for bit.
+    (the zero draw is rejected).  Per horizon one Propagator is factored;
+    each sample's backward trajectory and its nodal |grad phi|^2 serve every
+    grid cell of that horizon and are dropped before the next sample.  Rows
+    are emitted in grid order, so a fixed seed reproduces the table bit for
+    bit.
     """
     params_list = list(params_grid)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    data = []
-    for _ in range(samples):
-        v = rng.standard_normal(sys.ndof)
-        nv = norm_X2(sys, v)
-        while nv == 0.0:
-            v = rng.standard_normal(sys.ndof)
-            nv = norm_X2(sys, v)
-        data.append(v / nv)
+    data = _unit_normal_draws(sys, np.random.default_rng(seed), samples)
 
-    trajectories: dict[float, list[Trajectory]] = {}
+    sides: list[list[tuple[float, float]]] = [[] for _ in params_list]
+    for T in dict.fromkeys(params.T for params in params_list):
+        cells = [i for i, params in enumerate(params_list) if params.T == T]
+        prop = Propagator(sys, T, nt, theta)
+        for v in data:
+            adj = prop.backward(v)
+            grad_sq = _nodal_grad_sq(sys, adj.states[1:-1])
+            for i in cells:
+                params = params_list[i]
+                lhs = carleman_lhs(sys, adj, params, grad_sq=grad_sq)
+                rhs = carleman_rhs(sys, adj, params, path="equation")
+                sides[i].append((lhs, rhs))
+            del adj, grad_sq
+
     rows = []
     max_ratio: dict[tuple[float, float], float] = {}
-    for params in params_list:
-        if params.T not in trajectories:
-            trajectories[params.T] = [
-                solve_backward(sys, v, params.T, nt, theta) for v in data
-            ]
+    for params, cell in zip(params_list, sides):
         cell_max = 0.0
-        for sid, adj in enumerate(trajectories[params.T]):
-            lhs = carleman_lhs(sys, adj, params)
-            rhs = carleman_rhs(sys, adj, params, path="equation")
+        for sid, (lhs, rhs) in enumerate(cell):
             # rhs underflows to 0 when lam*m*sup(eta) pushes exp(-2 R alpha)
             # below double precision everywhere; record nan, don't raise
             ratio = lhs / rhs if rhs > 0.0 else float("nan")
@@ -331,10 +341,14 @@ def _cell_gradient_ops(mesh: BulkSurfaceMesh):
 def _nodal_grad_sq(sys: DiscreteSystem, states: np.ndarray) -> np.ndarray:
     """Volume-weighted nodal recovery of |grad phi|^2 from cellwise gradients.
 
-    states has shape (n_times, n_nodes); the result matches it.
+    states has shape (n_times, n_nodes); the result matches it.  The sparse
+    products run on a contiguous (n_nodes, n_times) copy and keep the
+    (cells, times) layout; each entry is accumulated in the same order as
+    with time-major rows, so the values are the same bits.
     """
     grads, scatter = _cell_gradient_ops(sys.mesh)
-    cell_sq = np.zeros((states.shape[0], scatter.shape[1]))
+    by_node = np.ascontiguousarray(states.T)
+    cell_sq = np.zeros((scatter.shape[1], by_node.shape[1]))
     for G in grads:
-        cell_sq += (G @ states.T).T ** 2
-    return (scatter @ cell_sq.T).T / sys.m_bulk[None, :]
+        cell_sq += (G @ by_node) ** 2
+    return (scatter @ cell_sq).T / sys.m_bulk[None, :]

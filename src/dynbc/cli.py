@@ -407,28 +407,10 @@ def _run_carleman(sys_, mesh, config, out, manifest, threads) -> None:
         for lam in p["lambda_grid"]
         for R in p["R_grid"]
     ]
-
-    if threads > 1:
-        # cells are independent; each re-derives the same seeded samples
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(
-                    lambda cell: carleman_sweep(
-                        sys_, [cell], data["nt"], data["theta"],
-                        p["samples"], p["seed"],
-                    ),
-                    grid,
-                )
-            )
-        rows = [row for part in partials for row in part.rows]
-        max_ratio = {}
-        for part in partials:
-            max_ratio.update(part.max_ratio)
-    else:
-        result = carleman_sweep(
-            sys_, grid, data["nt"], data["theta"], p["samples"], p["seed"]
-        )
-        rows, max_ratio = result.rows, result.max_ratio
+    result = carleman_sweep(
+        sys_, grid, data["nt"], data["theta"], p["samples"], p["seed"]
+    )
+    rows, max_ratio = result.rows, result.max_ratio
 
     _write_csv(
         _record(manifest, out, "carleman_sweep.csv"),
@@ -519,6 +501,7 @@ def _run_control(sys_, mesh, config, out, manifest, threads) -> None:
                 "iterations": result.iterations,
                 "cost": result.cost,
                 "converged": result.converged,
+                "true_residual": result.true_residual,
                 "final_norm_refined": report.final_norm_refined,
                 "optimality_residual": report.optimality_residual,
             },
@@ -549,7 +532,10 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="run one experiment config")
     runp.add_argument("config", help="path to the experiment JSON")
     runp.add_argument("--out", default=None, help="output directory override")
-    runp.add_argument("--threads", type=int, default=1, help="sweep-level parallelism")
+    runp.add_argument(
+        "--threads", type=int, default=1,
+        help="solve the eps values of a control ladder in parallel",
+    )
 
     args = parser.parse_args(argv)
     try:

@@ -12,10 +12,11 @@ the exact transpose of the forward step.  The penalized problem
     (Lambda + eps I) PhiHat_T = final state of the free forward solve of U0
 
 is solved by conjugate gradients in the M inner product (each operator
-application is one backward plus one forward solve).  The control is the
-negated theta-level adjoint trace, g = -phi_G, and drives the state to
-exactly U(T) = eps PhiHat_T, up to the conjugate-gradient residual; at
-optimality the discrete analog of the duality condition
+application is one backward plus one forward solve, all on one factored
+Propagator).  The control is the negated theta-level adjoint trace,
+g = -phi_G, and drives the state to exactly U(T) = eps PhiHat_T, up to the
+conjugate-gradient residual; at optimality the discrete analog of the
+duality condition
 
     -integral of g phi_G + eps ||PhiHat_T||_M^2 = <U0, PhiHat(0)>_M
 
@@ -40,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteSystem, inner_X2, norm_X2
-from .evolution import (
-    BoundarySignal,
-    Trajectory,
-    duality_residual,
-    solve_backward,
-    solve_forward,
-)
+from .evolution import BoundarySignal, Propagator, duality_residual
 
 __all__ = [
     "ControlProblem",
@@ -95,6 +90,7 @@ class ControlResult:
     converged: bool
     phi_T: np.ndarray
     final_state: np.ndarray
+    true_residual: float  # ||U(T) - eps PhiHat_T||_M / ||b||_M
 
 
 @dataclass
@@ -104,13 +100,6 @@ class NullControlReport:
     duality_residual: float
     optimality_residual: float
     optimality_scale: float
-
-
-def _theta_trace(sys: DiscreteSystem, adj: Trajectory) -> np.ndarray:
-    """Boundary trace of the theta-level adjoint samples, shape (nt, nb)."""
-    th = adj.theta
-    levels = th * adj.states[:-1] + (1.0 - th) * adj.states[1:]
-    return levels[:, sys.boundary_nodes]
 
 
 def control_sample_times(T: float, nt: int, theta: float) -> np.ndarray:
@@ -124,30 +113,25 @@ def signal_norm_L2(sys: DiscreteSystem, values: np.ndarray, dt: float) -> float:
     return float(np.sqrt(dt * np.sum(values**2 * sys.m_surf[None, :])))
 
 
-def gramian_apply(
-    sys: DiscreteSystem,
-    PhiT: np.ndarray,
-    T: float,
-    nt: int,
-    theta: float = 0.5,
-) -> np.ndarray:
-    """One application of the Gramian: backward solve, trace, forward solve.
+def gramian_apply(prop: Propagator, PhiT: np.ndarray) -> np.ndarray:
+    """One application of the Gramian on prop's time grid.
 
-    Symmetric and positive semidefinite in the M inner product:
-    <Lambda Phi, Phi>_M equals the squared boundary-cylinder norm of the
-    adjoint trace.
+    Backward solve from PhiT, its theta-level boundary trace, and the final
+    state of the forward solve from zero driven by that trace.  Symmetric
+    and positive semidefinite in the M inner product: <Lambda Phi, Phi>_M
+    equals the squared boundary-cylinder norm of the adjoint trace.
     """
-    PhiT = np.asarray(PhiT, dtype=float)
-    if PhiT.shape != (sys.ndof,):
-        raise ValueError(f"PhiT must have shape ({sys.ndof},), got {PhiT.shape}")
-    adj = solve_backward(sys, PhiT, T, nt, theta)
-    trace = _theta_trace(sys, adj)
-    fwd = solve_forward(sys, np.zeros(sys.ndof), BoundarySignal(trace), T, nt, theta)
-    return fwd.states[-1]
+    trace = prop.backward_trace(PhiT)
+    return prop.forward_final(np.zeros(prop.sys.ndof), BoundarySignal(trace))
 
 
 def _cg_in_M(sys, apply_op, b, tol, maxit):
-    """Conjugate gradients for an M-self-adjoint SPD operator."""
+    """Conjugate gradients for an M-self-adjoint SPD operator.
+
+    Returns (x, iterations, converged).  A curvature <p, A p>_M that is not
+    positive and finite means the operator is not SPD on the Krylov space;
+    the iteration stops there with converged=False and the last iterate.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     rho = inner_X2(sys, r, r)
@@ -157,7 +141,10 @@ def _cg_in_M(sys, apply_op, b, tol, maxit):
     p = r.copy()
     for k in range(1, maxit + 1):
         q = apply_op(p)
-        alpha = rho / inner_X2(sys, p, q)
+        curvature = inner_X2(sys, p, q)
+        if not (np.isfinite(curvature) and curvature > 0.0):
+            return x, k - 1, False
+        alpha = rho / curvature
         x += alpha * p
         r -= alpha * q
         rho_new = inner_X2(sys, r, r)
@@ -184,14 +171,13 @@ def synthesize_control(problem: ControlProblem) -> ControlResult:
     sys = problem.sys
     U0 = np.asarray(problem.U0, dtype=float)
     T, nt, theta, eps = problem.T, problem.nt, problem.theta, problem.eps
-    dt = T / nt
+    prop = Propagator(sys, T, nt, theta)
     g_times = control_sample_times(T, nt, theta)
 
-    free = solve_forward(sys, U0, None, T, nt, theta)
-    b = free.states[-1]
+    b = prop.forward_final(U0, None)
 
     def apply_op(v: np.ndarray) -> np.ndarray:
-        return gramian_apply(sys, v, T, nt, theta) + eps * v
+        return gramian_apply(prop, v) + eps * v
 
     phi_T, iterations, converged = _cg_in_M(
         sys, apply_op, b, problem.cg_tol, problem.cg_maxit
@@ -201,14 +187,16 @@ def synthesize_control(problem: ControlProblem) -> ControlResult:
         g_vals = np.zeros((nt, sys.n_boundary))
         final_state = b
     else:
-        adj = solve_backward(sys, phi_T, T, nt, theta)
-        g_vals = -_theta_trace(sys, adj)
-        fwd = solve_forward(sys, U0, BoundarySignal(g_vals), T, nt, theta)
-        final_state = fwd.states[-1]
+        g_vals = -prop.backward_trace(phi_T)
+        final_state = prop.forward_final(U0, BoundarySignal(g_vals))
 
     final_norm = norm_X2(sys, final_state)
-    control_norm = signal_norm_L2(sys, g_vals, dt)
+    control_norm = signal_norm_L2(sys, g_vals, prop.dt)
     cost = 0.5 * control_norm**2 + final_norm**2 / (2.0 * eps)
+    b_norm = norm_X2(sys, b)
+    true_residual = (
+        norm_X2(sys, final_state - eps * phi_T) / b_norm if b_norm > 0.0 else 0.0
+    )
     return ControlResult(
         g=BoundarySignal(g_vals),
         g_times=g_times,
@@ -219,6 +207,7 @@ def synthesize_control(problem: ControlProblem) -> ControlResult:
         converged=converged,
         phi_T=phi_T,
         final_state=final_state,
+        true_residual=true_residual,
     )
 
 
@@ -237,10 +226,10 @@ def verify_null(
     """
     U0 = np.asarray(problem.U0, dtype=float)
     T, nt, theta, eps = problem.T, problem.nt, problem.theta, problem.eps
-    dt = T / nt
+    prop = Propagator(sys, T, nt, theta)
 
-    fwd = solve_forward(sys, U0, result.g, T, nt, theta)
-    adj = solve_backward(sys, result.phi_T, T, nt, theta)
+    fwd = prop.forward(U0, result.g)
+    adj = prop.backward(result.phi_T)
     dres = duality_residual(sys, fwd, adj, result.g)
 
     fine_nt = 2 * nt
@@ -251,10 +240,12 @@ def verify_null(
         fine_vals[:, j] = np.interp(
             fine_times, coarse_times, result.g.values[:, j]
         )
-    fine = solve_forward(sys, U0, BoundarySignal(fine_vals), T, fine_nt, theta)
-    refined_norm = norm_X2(sys, fine.states[-1])
+    fine = Propagator(sys, T, fine_nt, theta).forward_final(
+        U0, BoundarySignal(fine_vals)
+    )
+    refined_norm = norm_X2(sys, fine)
 
-    control_sq = signal_norm_L2(sys, result.g.values, dt) ** 2
+    control_sq = signal_norm_L2(sys, result.g.values, prop.dt) ** 2
     phi_norm_sq = inner_X2(sys, result.phi_T, result.phi_T)
     pairing = inner_X2(sys, U0, adj.states[0])
     opt_res = abs(control_sq + eps * phi_norm_sq - pairing)

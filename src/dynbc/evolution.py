@@ -5,7 +5,11 @@ The forward system is stepped with the theta-scheme
     (M + theta dt K) U^{n+1} = (M - (1 - theta) dt K) U^n + dt B g_hat^n,
 
 with theta = 0.5 (Crank-Nicolson) or 1 (implicit Euler) and the linear
-solves done by a sparse LU factorization, computed anew by every solve.
+solves done by a sparse LU factorization.  A ``Propagator`` holds that
+factorization for one uniform time grid, so every solve on the grid shares
+one ``splu``; ``solve_forward`` and ``solve_backward`` build a Propagator
+per call.
+
 Since M and K are symmetric, the one-step propagator
 S = (M + theta dt K)^{-1} (M - (1-theta) dt K) is self-adjoint in the M
 inner product, so the backward solve is the same recursion run on the
@@ -37,6 +41,7 @@ __all__ = [
     "Trajectory",
     "BoundarySignal",
     "FluxPair",
+    "Propagator",
     "solve_forward",
     "solve_backward",
     "duality_residual",
@@ -92,18 +97,6 @@ class FluxPair:
     rel_discrepancy: float
 
 
-def _check_theta(theta: float) -> float:
-    if theta not in _VALID_THETAS:
-        raise ValueError(f"theta must be one of {_VALID_THETAS}, got {theta}")
-    return float(theta)
-
-
-def _step_matrices(sys: DiscreteSystem, dt: float, theta: float):
-    A = (sys.M + theta * dt * sys.K).tocsc()
-    C = (sys.M - (1.0 - theta) * dt * sys.K).tocsr()
-    return spla.splu(A), C
-
-
 def _step_sources(
     sys: DiscreteSystem, g, nt: int, theta: float
 ) -> np.ndarray | None:
@@ -126,6 +119,95 @@ def _step_sources(
     )
 
 
+class Propagator:
+    """The theta-scheme step on the uniform grid of nt steps over [0, T].
+
+    Factors M + theta dt K once; every forward and backward solve on this
+    grid reuses the factorization and C = M - (1 - theta) dt K.
+    """
+
+    def __init__(self, sys: DiscreteSystem, T: float, nt: int, theta: float = 0.5):
+        if theta not in _VALID_THETAS:
+            raise ValueError(f"theta must be one of {_VALID_THETAS}, got {theta}")
+        if nt < 1:
+            raise ValueError(f"need nt >= 1 steps, got {nt}")
+        if not T > 0:
+            raise ValueError(f"need T > 0, got {T}")
+        self.sys = sys
+        self.T = T
+        self.nt = nt
+        self.theta = float(theta)
+        self.dt = T / nt
+        A = (sys.M + self.theta * self.dt * sys.K).tocsc()
+        self.C = (sys.M - (1.0 - self.theta) * self.dt * sys.K).tocsr()
+        self.lu = spla.splu(A)
+
+    def _state(self, vec, name: str) -> np.ndarray:
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.sys.ndof,):
+            raise ValueError(
+                f"{name} must have shape ({self.sys.ndof},), got {vec.shape}"
+            )
+        return vec
+
+    def _trajectory(self, states: np.ndarray) -> Trajectory:
+        times = np.linspace(0.0, self.T, self.nt + 1)
+        return Trajectory(times=times, states=states, theta=self.theta, dt=self.dt)
+
+    def _step(self, cur: np.ndarray, ghat, n: int) -> np.ndarray:
+        """One forward step from cur, driven by ghat[n] when there is a source."""
+        rhs = self.C @ cur
+        if ghat is not None:
+            rhs = rhs + self.dt * (self.sys.B @ ghat[n])
+        return self.lu.solve(rhs)
+
+    def forward(self, U0: np.ndarray, g) -> Trajectory:
+        """Integrate the controlled system from U0 over [0, T]."""
+        states = np.empty((self.nt + 1, self.sys.ndof))
+        states[0] = self._state(U0, "U0")
+        ghat = _step_sources(self.sys, g, self.nt, self.theta)
+        for n in range(self.nt):
+            states[n + 1] = self._step(states[n], ghat, n)
+        return self._trajectory(states)
+
+    def forward_final(self, U0: np.ndarray, g) -> np.ndarray:
+        """The state at T of ``forward(U0, g)``, storing no trajectory."""
+        cur = self._state(U0, "U0")
+        ghat = _step_sources(self.sys, g, self.nt, self.theta)
+        for n in range(self.nt):
+            cur = self._step(cur, ghat, n)
+        return cur
+
+    def backward(self, PhiT: np.ndarray) -> Trajectory:
+        """Integrate the adjoint system backward from final data PhiT.
+
+        Returns the trajectory stored forward-indexed: states[n] is the
+        adjoint state at t_n, states[-1] = PhiT.  The step is the transpose
+        of the forward step, so the duality identity holds exactly.
+        """
+        states = np.empty((self.nt + 1, self.sys.ndof))
+        states[self.nt] = self._state(PhiT, "PhiT")
+        for n in range(self.nt - 1, -1, -1):
+            states[n] = self.lu.solve(self.C @ states[n + 1])
+        return self._trajectory(states)
+
+    def backward_trace(self, PhiT: np.ndarray) -> np.ndarray:
+        """Boundary trace of the theta-level samples of ``backward(PhiT)``.
+
+        Row n is theta Phi^n + (1 - theta) Phi^{n+1} on the boundary nodes,
+        shape (nt, n_boundary); only the current adjoint state is kept.
+        """
+        bnodes = self.sys.boundary_nodes
+        th = self.theta
+        trace = np.empty((self.nt, bnodes.size))
+        nxt = self._state(PhiT, "PhiT")
+        for n in range(self.nt - 1, -1, -1):
+            cur = self.lu.solve(self.C @ nxt)
+            trace[n] = th * cur[bnodes] + (1.0 - th) * nxt[bnodes]
+            nxt = cur
+        return trace
+
+
 def solve_forward(
     sys: DiscreteSystem,
     U0: np.ndarray,
@@ -135,27 +217,7 @@ def solve_forward(
     theta: float = 0.5,
 ) -> Trajectory:
     """Integrate the controlled system from U0 over [0, T] in nt uniform steps."""
-    theta = _check_theta(theta)
-    if nt < 1:
-        raise ValueError(f"need nt >= 1 steps, got {nt}")
-    if not T > 0:
-        raise ValueError(f"need T > 0, got {T}")
-    U0 = np.asarray(U0, dtype=float)
-    if U0.shape != (sys.ndof,):
-        raise ValueError(f"U0 must have shape ({sys.ndof},), got {U0.shape}")
-    dt = T / nt
-    lu, C = _step_matrices(sys, dt, theta)
-    ghat = _step_sources(sys, g, nt, theta)
-
-    states = np.empty((nt + 1, sys.ndof))
-    states[0] = U0
-    for n in range(nt):
-        rhs = C @ states[n]
-        if ghat is not None:
-            rhs = rhs + dt * (sys.B @ ghat[n])
-        states[n + 1] = lu.solve(rhs)
-    times = np.linspace(0.0, T, nt + 1)
-    return Trajectory(times=times, states=states, theta=theta, dt=dt)
+    return Propagator(sys, T, nt, theta).forward(U0, g)
 
 
 def solve_backward(
@@ -168,26 +230,9 @@ def solve_backward(
     """Integrate the adjoint system backward from final data PhiT.
 
     Returns the trajectory stored forward-indexed: states[n] is the adjoint
-    state at t_n, states[-1] = PhiT.  The step is the transpose of the
-    forward step, so the duality identity holds exactly.
+    state at t_n, states[-1] = PhiT.
     """
-    theta = _check_theta(theta)
-    if nt < 1:
-        raise ValueError(f"need nt >= 1 steps, got {nt}")
-    if not T > 0:
-        raise ValueError(f"need T > 0, got {T}")
-    PhiT = np.asarray(PhiT, dtype=float)
-    if PhiT.shape != (sys.ndof,):
-        raise ValueError(f"PhiT must have shape ({sys.ndof},), got {PhiT.shape}")
-    dt = T / nt
-    lu, C = _step_matrices(sys, dt, theta)
-
-    states = np.empty((nt + 1, sys.ndof))
-    states[nt] = PhiT
-    for n in range(nt - 1, -1, -1):
-        states[n] = lu.solve(C @ states[n + 1])
-    times = np.linspace(0.0, T, nt + 1)
-    return Trajectory(times=times, states=states, theta=theta, dt=dt)
+    return Propagator(sys, T, nt, theta).backward(PhiT)
 
 
 def duality_residual(

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteSystem, inner_X2, norm_X2, smallest_eigenpair
-from .evolution import Trajectory, solve_backward
+from .assembly import DiscreteSystem, _unit_normal_draws, inner_X2, smallest_eigenpair
+from .evolution import Propagator, Trajectory
 
 __all__ = [
     "ObservabilityReport",
@@ -74,20 +74,15 @@ def estimate_CT(
         )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    prop = Propagator(sys, T, nt, theta)
     _, ground = smallest_eigenpair(sys)
-    data = [ground]
-    for _ in range(samples - 1):
-        v = rng.standard_normal(sys.ndof)
-        nv = norm_X2(sys, v)
-        while nv == 0.0:
-            v = rng.standard_normal(sys.ndof)
-            nv = norm_X2(sys, v)
-        data.append(v / nv)
+    data = [ground] + _unit_normal_draws(
+        sys, np.random.default_rng(seed), samples - 1
+    )
 
     per_sample = []
     for v in data:
-        adj = solve_backward(sys, v, T, nt, theta)
+        adj = prop.backward(v)
         initial = inner_X2(sys, adj.states[0], adj.states[0])
         observed = observation_energy(sys, adj)
         if observed <= 0.0:

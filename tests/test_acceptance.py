@@ -13,6 +13,7 @@ from dynbc import (
     BoundarySignal,
     CarlemanParams,
     ControlProblem,
+    Propagator,
     assemble,
     build_disk_mesh,
     build_eta,
@@ -247,10 +248,11 @@ def test_criterion_9_null_control():
 
     # dense-oracle pre-validation: explicit Gramian matrix on the same instance
     G = np.zeros((s.ndof, s.ndof))
+    prop = Propagator(s, T, nt, theta)
     for j in range(s.ndof):
         e = np.zeros(s.ndof)
         e[j] = 1.0
-        G[:, j] = gramian_apply(s, e, T, nt, theta)
+        G[:, j] = gramian_apply(prop, e)
     MG = s.M_diag[:, None] * G
     sym_defect = np.abs(MG - MG.T).max() / np.abs(MG).max()
     if sym_defect > 1e-10:

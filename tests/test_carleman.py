@@ -7,6 +7,7 @@ from dynbc import (
     CarlemanParams,
     Trajectory,
     assemble,
+    build_disk_mesh,
     build_eta,
     build_interval_mesh,
     carleman_lhs,
@@ -18,6 +19,7 @@ from dynbc import (
     solve_backward,
     weight_bounds,
 )
+from dynbc.carleman import _cell_gradient_ops, _nodal_grad_sq
 
 
 def unit_interval_setup(n=8, nt=16, beta=1.0):
@@ -259,3 +261,61 @@ def test_lambda_floor_diagnostic():
     # unbounded exactly at the interior critical point of eta
     assert np.sum(~np.isfinite(floor)) == 1
     assert np.all(floor[np.isfinite(floor)] > 0)
+
+
+@pytest.mark.parametrize("geometry", ["interval", "disk"])
+def test_nodal_grad_sq_bitwise_equals_per_time_oracle(geometry):
+    if geometry == "interval":
+        mesh = build_interval_mesh(0, 1, 8)
+    else:
+        mesh = build_disk_mesh(1.0, 8, 32)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    states = np.random.default_rng(3).standard_normal((9, s.ndof))
+    grads, scatter = _cell_gradient_ops(mesh)
+    want = np.empty_like(states)
+    for n, phi in enumerate(states):
+        cell_sq = np.zeros(scatter.shape[1])
+        for G in grads:
+            cell_sq += (G @ phi) ** 2
+        want[n] = (scatter @ cell_sq) / s.m_bulk
+    got = _nodal_grad_sq(s, states)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_lhs_reuses_given_grad_sq():
+    mesh, s, eta, adj = unit_interval_setup()
+    p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
+    grad_sq = _nodal_grad_sq(s, adj.states[1:-1])
+    assert carleman_lhs(s, adj, p, grad_sq=grad_sq) == carleman_lhs(s, adj, p)
+
+
+def test_sweep_equals_cell_major_oracle():
+    """Rows and max ratios equal a per-cell loop over per-horizon solves."""
+    mesh = build_interval_mesh(0, 1, 8)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=lam, R=2.0, m=1.5, T=T, eta=eta)
+        for T, lam in ((1.0, 1.0), (0.5, 1.0), (1.0, 2.0), (0.5, 2.0))
+    ]
+    samples, seed, nt = 3, 21, 16
+    rng = np.random.default_rng(seed)
+    data = []
+    for _ in range(samples):
+        v = rng.standard_normal(s.ndof)
+        data.append(v / norm_X2(s, v))
+    rows, max_ratio = [], {}
+    for p in grid:
+        cell_max = 0.0
+        for sid, v in enumerate(data):
+            adj = solve_backward(s, v, p.T, nt, 0.5)
+            lhs = carleman_lhs(s, adj, p)
+            rhs = carleman_rhs(s, adj, p, path="equation")
+            ratio = lhs / rhs if rhs > 0.0 else float("nan")
+            rows.append((p.lam, p.R, sid, lhs, rhs, ratio))
+            cell_max = max(cell_max, ratio)
+        max_ratio[(p.lam, p.R)] = cell_max
+    sw = carleman_sweep(s, grid, nt, 0.5, samples, seed)
+    assert sw.rows == rows
+    assert sw.max_ratio == max_ratio

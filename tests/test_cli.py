@@ -104,7 +104,8 @@ def test_control_eps_sweep_artifacts(tmp_path):
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 0
     for idx in range(3):
-        assert (out / f"result_{idx}.json").exists()
+        result = json.loads((out / f"result_{idx}.json").read_text())
+        assert 0.0 <= result["true_residual"] <= 10 * 1e-8
         assert (out / f"control_{idx}.csv").exists()
     scaling = (out / "eps_scaling.csv").read_text().splitlines()
     assert scaling[1] == "eps,final_norm,control_norm,iterations,cost"

@@ -3,6 +3,7 @@ import pytest
 
 from dynbc import (
     ControlProblem,
+    Propagator,
     assemble,
     build_interval_mesh,
     gramian_apply,
@@ -12,6 +13,7 @@ from dynbc import (
     synthesize_control,
     verify_null,
 )
+from dynbc.control import _cg_in_M
 
 
 def interval_sys(n=16):
@@ -36,7 +38,7 @@ def test_problem_validation():
 
 def test_gramian_zero():
     s = interval_sys()
-    out = gramian_apply(s, np.zeros(s.ndof), 1.0, 16, 0.5)
+    out = gramian_apply(Propagator(s, 1.0, 16, 0.5), np.zeros(s.ndof))
     np.testing.assert_array_equal(out, 0.0)
 
 
@@ -44,11 +46,12 @@ def test_gramian_zero():
 def test_gramian_symmetry_and_psd(theta):
     s = interval_sys()
     rng = np.random.default_rng(0)
+    prop = Propagator(s, 1.0, 24, theta)
     for _ in range(10):
         a = rng.standard_normal(s.ndof)
         b = rng.standard_normal(s.ndof)
-        La = gramian_apply(s, a, 1.0, 24, theta)
-        Lb = gramian_apply(s, b, 1.0, 24, theta)
+        La = gramian_apply(prop, a)
+        Lb = gramian_apply(prop, b)
         x = inner_X2(s, La, b)
         y = inner_X2(s, a, Lb)
         assert abs(x - y) <= 1e-10 * max(abs(x), abs(y), 1.0)
@@ -92,7 +95,8 @@ def test_control_cost_duality():
     U0 = ground_mode(s)
     prob = ControlProblem(sys=s, U0=U0, T=1.0, nt=64, eps=1e-5, cg_tol=1e-10)
     res = synthesize_control(prob)
-    quad = inner_X2(s, gramian_apply(s, res.phi_T, 1.0, 64, 0.5), res.phi_T)
+    prop = Propagator(s, 1.0, 64, 0.5)
+    quad = inner_X2(s, gramian_apply(prop, res.phi_T), res.phi_T)
     assert res.control_norm**2 == pytest.approx(quad, rel=1e-8)
 
 
@@ -141,3 +145,32 @@ def test_penalized_cost_recorded():
     res = synthesize_control(prob)
     expected = 0.5 * res.control_norm**2 + res.final_norm**2 / (2 * prob.eps)
     assert res.cost == pytest.approx(expected, rel=1e-12)
+
+
+def test_cg_stops_on_indefinite_operator():
+    s = interval_sys()
+    b = np.random.default_rng(1).standard_normal(s.ndof)
+    signs = np.where(np.arange(s.ndof) % 2 == 0, 1.0, -1.0)
+    x, iterations, converged = _cg_in_M(s, lambda v: signs * v, b, 1e-10, 50)
+    assert not converged
+    assert iterations < 50
+    assert np.all(np.isfinite(x))
+    x, iterations, converged = _cg_in_M(s, lambda v: -v, b, 1e-10, 50)
+    assert (iterations, converged) == (0, False)
+    np.testing.assert_array_equal(x, 0.0)
+    x, _, converged = _cg_in_M(s, lambda v: np.full_like(v, np.nan), b, 1e-10, 50)
+    assert not converged
+    assert np.all(np.isfinite(x))
+
+
+def test_true_residual_is_final_state_defect():
+    s = interval_sys(n=16)
+    U0 = ground_mode(s)
+    prob = ControlProblem(sys=s, U0=U0, T=1.0, nt=64, eps=1e-5, cg_tol=1e-9)
+    res = synthesize_control(prob)
+    b = Propagator(s, 1.0, 64, 0.5).forward_final(U0, None)
+    want = norm_X2(s, res.final_state - prob.eps * res.phi_T) / norm_X2(s, b)
+    assert res.true_residual == want
+    assert res.true_residual <= 10 * prob.cg_tol
+    zero = ControlProblem(sys=s, U0=np.zeros(s.ndof), T=1.0, nt=16, eps=1e-4)
+    assert synthesize_control(zero).true_residual == 0.0

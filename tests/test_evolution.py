@@ -1,11 +1,21 @@
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dynbc import (
     BoundarySignal,
+    CarlemanParams,
+    ControlProblem,
+    Propagator,
     Trajectory,
     assemble,
+    build_disk_mesh,
+    build_eta,
     build_interval_mesh,
+    carleman_sweep,
+    estimate_CT,
     duality_residual,
     duhamel_final,
     inner_X2,
@@ -13,9 +23,12 @@ from dynbc import (
     recover_normal_flux,
     solve_backward,
     solve_forward,
+    synthesize_control,
     trajectory_norms,
     trajectory_to_csv,
+    verify_null,
 )
+from dynbc import evolution
 
 
 def interval_sys(n=16, gamma=1.0, delta=0.0, beta=1.0):
@@ -273,3 +286,129 @@ def test_trajectory_csv_bytes_equal_loop_oracle(tmp_path):
     got = tmp_path / "got.csv"
     trajectory_to_csv(traj, got, header_lines=header)
     assert got.read_bytes() == oracle.read_bytes()
+
+
+def _loop_step_matrices(sys_, dt, theta):
+    A = (sys_.M + theta * dt * sys_.K).tocsc()
+    C = (sys_.M - (1.0 - theta) * dt * sys_.K).tocsr()
+    return spla.splu(A), C
+
+
+def _loop_forward(sys_, U0, g, T, nt, theta):
+    """The per-call forward loop that Propagator.forward replaced."""
+    dt = T / nt
+    lu, C = _loop_step_matrices(sys_, dt, theta)
+    ghat = evolution._step_sources(sys_, g, nt, theta)
+    states = np.empty((nt + 1, sys_.ndof))
+    states[0] = U0
+    for n in range(nt):
+        rhs = C @ states[n]
+        if ghat is not None:
+            rhs = rhs + dt * (sys_.B @ ghat[n])
+        states[n + 1] = lu.solve(rhs)
+    return states
+
+
+def _loop_backward(sys_, PhiT, T, nt, theta):
+    """The per-call backward loop that Propagator.backward replaced."""
+    lu, C = _loop_step_matrices(sys_, T / nt, theta)
+    states = np.empty((nt + 1, sys_.ndof))
+    states[nt] = PhiT
+    for n in range(nt - 1, -1, -1):
+        states[n] = lu.solve(C @ states[n + 1])
+    return states
+
+
+PROPAGATOR_SYSTEMS = {
+    "interval8": lambda: interval_sys(n=8),
+    "disk8x32": lambda: assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
+def test_propagator_bitwise_equals_loop_oracle(name, theta):
+    s = PROPAGATOR_SYSTEMS[name]()
+    T, nt = 0.7, 12
+    rng = np.random.default_rng(12)
+    U0 = rng.standard_normal(s.ndof)
+    PhiT = rng.standard_normal(s.ndof)
+    signals = [
+        None,
+        BoundarySignal(rng.standard_normal((nt + 1, s.n_boundary))),  # nodes
+        BoundarySignal(rng.standard_normal((nt, s.n_boundary))),  # steps
+    ]
+    prop = Propagator(s, T, nt, theta)
+    for g in signals:
+        want = _loop_forward(s, U0, g, T, nt, theta)
+        got = prop.forward(U0, g)
+        assert got.states.tobytes() == want.tobytes()
+        assert got.dt == T / nt and got.theta == theta
+        np.testing.assert_array_equal(got.times, np.linspace(0.0, T, nt + 1))
+        assert solve_forward(s, U0, g, T, nt, theta).states.tobytes() == want.tobytes()
+        final = prop.forward_final(U0, g)
+        assert final.tobytes() == got.states[-1].tobytes()
+    want = _loop_backward(s, PhiT, T, nt, theta)
+    adj = prop.backward(PhiT)
+    assert adj.states.tobytes() == want.tobytes()
+    assert solve_backward(s, PhiT, T, nt, theta).states.tobytes() == want.tobytes()
+    levels = theta * adj.states[:-1] + (1.0 - theta) * adj.states[1:]
+    trace = prop.backward_trace(PhiT)
+    assert trace.tobytes() == levels[:, s.boundary_nodes].tobytes()
+
+
+def test_propagator_validation():
+    s = interval_sys(n=8)
+    with pytest.raises(ValueError):
+        Propagator(s, 1.0, 8, 0.7)
+    with pytest.raises(ValueError):
+        Propagator(s, 1.0, 0, 0.5)
+    with pytest.raises(ValueError):
+        Propagator(s, 0.0, 8, 0.5)
+    prop = Propagator(s, 1.0, 8, 0.5)
+    for method in (prop.forward, prop.forward_final):
+        with pytest.raises(ValueError):
+            method(np.zeros(s.ndof - 1), None)
+    for method in (prop.backward, prop.backward_trace):
+        with pytest.raises(ValueError):
+            method(np.zeros(s.ndof + 1))
+
+
+@pytest.fixture
+def splu_count(monkeypatch):
+    """Sparse LU factorizations made by dynbc.evolution (not by assembly)."""
+    calls = []
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape)
+        return spla.splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "spla", types.SimpleNamespace(splu=counting))
+    return calls
+
+
+def test_one_factorization_per_time_grid(splu_count):
+    mesh = build_interval_mesh(0, 1, 8)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    U0 = np.random.default_rng(13).standard_normal(s.ndof)
+
+    problem = ControlProblem(sys=s, U0=U0, T=1.0, nt=16, eps=1e-4)
+    result = synthesize_control(problem)
+    assert result.iterations > 1
+    assert len(splu_count) == 1
+    splu_count.clear()
+    verify_null(s, problem, result)  # grids nt and 2 nt
+    assert len(splu_count) == 2
+    splu_count.clear()
+    estimate_CT(s, 1.0, 16, 5, seed=2)
+    assert len(splu_count) == 1
+    splu_count.clear()
+
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=2.0, R=R, m=1.5, T=T, eta=eta)
+        for T in (1.0, 0.5, 1.0)
+        for R in (1.0, 2.0)
+    ]
+    carleman_sweep(s, grid, 16, 0.5, 3, seed=4)
+    assert len(splu_count) == 2  # distinct horizons 1.0 and 0.5
