@@ -140,13 +140,16 @@ def carleman_lhs(
     params: CarlemanParams,
     *,
     grad_sq: np.ndarray | None = None,
+    weights: WeightEval | None = None,
 ) -> float:
     """Weighted left-hand side evaluated on an adjoint trajectory.
 
     grad_sq, when given, is ``_nodal_grad_sq(sys, adj.states[1:-1])``; it
     does not depend on params, so a sweep computes it once per trajectory.
+    weights, when given, is ``_interior_weights(params, sys, adj)``; a sweep
+    evaluates it once per (sample, cell) for both sides.
     """
-    w = _interior_weights(params, sys, adj)
+    w = _interior_weights(params, sys, adj) if weights is None else weights
     phi = adj.states[1:-1]
     dt = adj.dt
     bnodes = sys.boundary_nodes
@@ -187,6 +190,8 @@ def carleman_rhs(
     adj: Trajectory,
     params: CarlemanParams,
     path: str = "equation",
+    *,
+    weights: WeightEval | None = None,
 ) -> float:
     """Weighted right-hand side on an adjoint trajectory.
 
@@ -194,9 +199,10 @@ def carleman_rhs(
     theta xi exp(-2 R alpha) (beta phi_G)^2 exactly; path="direct" assembles
     d_t phi_G + delta LB(phi_G) - gamma d_nu phi from discrete time
     differences, the surface stiffness, and the variational flux recovery.
-    The two agree up to discretization error.
+    The two agree up to discretization error.  weights is as in
+    ``carleman_lhs``.
     """
-    w = _interior_weights(params, sys, adj)
+    w = _interior_weights(params, sys, adj) if weights is None else weights
     bnodes = sys.boundary_nodes
     phi_g = adj.states[1:-1][:, bnodes]
     dt = adj.dt
@@ -235,7 +241,8 @@ def carleman_sweep(
     Each sample is a standard normal final datum normalized to unit M-norm
     (the zero draw is rejected).  Per horizon one Propagator is factored;
     each sample's backward trajectory and its nodal |grad phi|^2 serve every
-    grid cell of that horizon and are dropped before the next sample.  Rows
+    grid cell of that horizon and are dropped before the next sample; the
+    weights are evaluated once per (sample, cell) and serve both sides.  Rows
     are emitted in grid order, so a fixed seed reproduces the table bit for
     bit.
     """
@@ -253,9 +260,11 @@ def carleman_sweep(
             grad_sq = _nodal_grad_sq(sys, adj.states[1:-1])
             for i in cells:
                 params = params_list[i]
-                lhs = carleman_lhs(sys, adj, params, grad_sq=grad_sq)
-                rhs = carleman_rhs(sys, adj, params, path="equation")
+                w = _interior_weights(params, sys, adj)
+                lhs = carleman_lhs(sys, adj, params, grad_sq=grad_sq, weights=w)
+                rhs = carleman_rhs(sys, adj, params, path="equation", weights=w)
                 sides[i].append((lhs, rhs))
+                del w
             del adj, grad_sq
 
     rows = []

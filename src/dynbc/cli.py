@@ -2,7 +2,7 @@
 
 Usage:
 
-    dynbc run <config.json> [--out DIR] [--threads N]
+    dynbc run <config.json> [--out DIR]
 
 A config is a single JSON object:
 
@@ -47,7 +47,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ import scipy
 from . import __version__
 from .assembly import assemble, norm_X2, smallest_eigenpair
 from .carleman import CarlemanParams, carleman_sweep, pointwise_lambda_floor
-from .control import ControlProblem, synthesize_control, verify_null
+from .control import ControlProblem, synthesize_ladder, verify_null
 from .evolution import (
     BoundarySignal,
     _write_series,
@@ -314,7 +313,7 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None, threads: int = 1) -> int:
+def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute one experiment; writes artifacts and manifest, returns exit status."""
     data = config.raw
     out = out_dir or data.get("output_dir") or os.environ.get("DYNBC_OUT", ".")
@@ -345,7 +344,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None, threads: int = 1) 
             "observability": _run_observability,
             "control": _run_control,
         }[task]
-        runner(sys_, mesh, config, out, manifest, threads)
+        runner(sys_, mesh, config, out, manifest)
     except ConfigError:
         raise
     except Exception as exc:  # numerical failure: keep partial outputs, flag them
@@ -381,7 +380,7 @@ def _trajectory_artifacts(sys_, traj, config, out, manifest, prefix: str) -> Non
     manifest["summary"][f"{prefix}_final_norm"] = float(norms[-1])
 
 
-def _run_simulate(sys_, mesh, config, out, manifest, threads) -> None:
+def _run_simulate(sys_, mesh, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
     U0 = _build_field(sys_, p["u0"])
@@ -390,14 +389,14 @@ def _run_simulate(sys_, mesh, config, out, manifest, threads) -> None:
     _trajectory_artifacts(sys_, traj, config, out, manifest, "simulate")
 
 
-def _run_adjoint(sys_, mesh, config, out, manifest, threads) -> None:
+def _run_adjoint(sys_, mesh, config, out, manifest) -> None:
     data = config.raw
     PhiT = _build_field(sys_, data["params"]["phi_T"])
     traj = solve_backward(sys_, PhiT, data["T"], data["nt"], data["theta"])
     _trajectory_artifacts(sys_, traj, config, out, manifest, "adjoint")
 
 
-def _run_carleman(sys_, mesh, config, out, manifest, threads) -> None:
+def _run_carleman(sys_, mesh, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
     eta = build_eta(mesh)
@@ -435,7 +434,7 @@ def _run_carleman(sys_, mesh, config, out, manifest, threads) -> None:
     manifest["summary"]["max_ratio_overall"] = float(max(max_ratio.values()))
 
 
-def _run_observability(sys_, mesh, config, out, manifest, threads) -> None:
+def _run_observability(sys_, mesh, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
     report = estimate_CT(
@@ -459,7 +458,7 @@ def _run_observability(sys_, mesh, config, out, manifest, threads) -> None:
     manifest["summary"]["CT_estimate"] = report.CT_estimate
 
 
-def _run_control(sys_, mesh, config, out, manifest, threads) -> None:
+def _run_control(sys_, mesh, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
     U0 = _build_field(sys_, p["u0"])
@@ -467,23 +466,18 @@ def _run_control(sys_, mesh, config, out, manifest, threads) -> None:
     cg_tol = float(p.get("cg_tol", 1e-8))
     cg_maxit = int(p.get("cg_maxit", 500))
 
-    def solve_one(eps: float):
-        problem = ControlProblem(
+    problems = [
+        ControlProblem(
             sys=sys_, U0=U0, T=data["T"], nt=data["nt"], theta=data["theta"],
             eps=float(eps), cg_tol=cg_tol, cg_maxit=cg_maxit,
         )
-        result = synthesize_control(problem)
-        report = verify_null(sys_, problem, result)
-        return problem, result, report
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_one, eps_list))
-    else:
-        solved = [solve_one(e) for e in eps_list]
+        for eps in eps_list
+    ]
+    results = synthesize_ladder(problems)
 
     scaling_rows = []
-    for idx, (eps, (problem, result, report)) in enumerate(zip(eps_list, solved)):
+    for idx, (eps, problem, result) in enumerate(zip(eps_list, problems, results)):
+        report = verify_null(sys_, problem, result)
         _write_series(
             _record(manifest, out, f"control_{idx}.csv"),
             result.g_times,
@@ -532,15 +526,11 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="run one experiment config")
     runp.add_argument("config", help="path to the experiment JSON")
     runp.add_argument("--out", default=None, help="output directory override")
-    runp.add_argument(
-        "--threads", type=int, default=1,
-        help="solve the eps values of a control ladder in parallel",
-    )
 
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
-        return run(config, out_dir=args.out, threads=args.threads)
+        return run(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

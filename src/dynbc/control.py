@@ -13,8 +13,16 @@ the exact transpose of the forward step.  The penalized problem
 
 is solved by conjugate gradients in the M inner product (each operator
 application is one backward plus one forward solve, all on one factored
-Propagator).  The control is the negated theta-level adjoint trace,
-g = -phi_G, and drives the state to exactly U(T) = eps PhiHat_T, up to the
+Propagator).  A ladder of penalties shares Lambda and the right-hand side,
+so ``synthesize_ladder`` solves every rung in one Krylov space by multi-shift
+CG: the smallest eps is the seed, whose plain CG makes the one Gramian apply
+per iteration, and every other rung tracks its residual as a scalar multiple
+zeta of the seed's and stops at the first iteration where that residual is
+within cg_tol of ||b||_M.  Only the seed rung is bit for bit the CG of its
+eps alone; the others agree with theirs to the CG tolerance.
+
+The control is the negated theta-level adjoint trace, g = -phi_G, and
+drives the state to exactly U(T) = eps PhiHat_T, up to the
 conjugate-gradient residual; at optimality the discrete analog of the
 duality condition
 
@@ -49,6 +57,7 @@ __all__ = [
     "NullControlReport",
     "gramian_apply",
     "synthesize_control",
+    "synthesize_ladder",
     "verify_null",
     "control_sample_times",
     "signal_norm_L2",
@@ -125,90 +134,193 @@ def gramian_apply(prop: Propagator, PhiT: np.ndarray) -> np.ndarray:
     return prop.forward_final(np.zeros(prop.sys.ndof), BoundarySignal(trace))
 
 
-def _cg_in_M(sys, apply_op, b, tol, maxit):
-    """Conjugate gradients for an M-self-adjoint SPD operator.
+@dataclass
+class _ShiftedRung:
+    """Iterate of one non-seed shift, carried by the seed's Krylov space.
 
-    Returns (x, iterations, converged).  A curvature <p, A p>_M that is not
-    positive and finite means the operator is not SPD on the Krylov space;
-    the iteration stops there with converged=False and the last iterate.
+    Its residual is zeta times the seed's residual; zeta_old is the value one
+    iteration earlier.
     """
+
+    offset: float  # shift minus the seed's shift, > 0
+    x: np.ndarray
+    p: np.ndarray
+    zeta: float = 1.0
+    zeta_old: float = 1.0
+    iterations: int = 0
+    converged: bool = False
+
+
+def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
+    """Multi-shift conjugate gradients in the M inner product.
+
+    Solves (A + s I) x_s = b for every s in shifts, where A = apply_op is
+    M-self-adjoint and A + s I is SPD, in one Krylov space (Jegerlehner,
+    arXiv:hep-lat/9612014).  The seed is the smallest shift: it runs plain
+    CG, q = A p + s_min p, one apply of A per iteration, and stops when
+    ||r||_M <= tol ||b||_M.  Every other shift follows the zeta recurrence,
+    r_s = zeta_s r, with no further applies, and freezes its iterate at the
+    first iteration where |zeta_s| ||r||_M <= tol ||b||_M.
+
+    Returns one (x, iterations, converged) per entry of shifts, in order;
+    entries equal to the smallest shift share the seed's result.  A seed
+    curvature <p, q>_M that is not positive and finite means the operator
+    is not SPD on the Krylov space: every rung still iterating stops there
+    with converged=False and its last iterate.  A zeta denominator that is
+    zero or not finite stops that rung alone the same way.
+    """
+    seed = min(shifts)
     x = np.zeros_like(b)
     r = b.copy()
     rho = inner_X2(sys, r, r)
     bnorm = np.sqrt(rho)
     if bnorm == 0.0:
-        return x, 0, True
+        return [(np.zeros_like(b), 0, True) for _ in shifts]
+    rungs = [
+        None if s == seed else _ShiftedRung(s - seed, np.zeros_like(b), b.copy())
+        for s in shifts
+    ]
+    active = [rung for rung in rungs if rung is not None]
     p = r.copy()
+    alpha_old, beta_old = 1.0, 0.0
+
+    def stop(iterations, converged):
+        for rung in active:
+            rung.iterations = iterations
+        return [
+            (x, iterations, converged)
+            if rung is None
+            else (rung.x, rung.iterations, rung.converged)
+            for rung in rungs
+        ]
+
     for k in range(1, maxit + 1):
-        q = apply_op(p)
+        q = apply_op(p) + seed * p
         curvature = inner_X2(sys, p, q)
         if not (np.isfinite(curvature) and curvature > 0.0):
-            return x, k - 1, False
+            return stop(k - 1, False)
         alpha = rho / curvature
         x += alpha * p
         r -= alpha * q
         rho_new = inner_X2(sys, r, r)
-        if np.sqrt(rho_new) <= tol * bnorm:
-            return x, k, True
-        p = r + (rho_new / rho) * p
+        rnorm = np.sqrt(rho_new)
+        beta = rho_new / rho
+        for rung in list(active):
+            # 1 / zeta is the seed's residual polynomial at -offset; this is
+            # its three-term recurrence, positive for an SPD seed
+            den = alpha_old * rung.zeta_old * (1.0 + alpha * rung.offset) + (
+                alpha * beta_old * (rung.zeta_old - rung.zeta)
+            )
+            if not (np.isfinite(den) and den != 0.0):
+                rung.iterations = k - 1
+                active.remove(rung)
+                continue
+            zeta = rung.zeta * rung.zeta_old * alpha_old / den
+            rung.x += (alpha * zeta / rung.zeta) * rung.p
+            if abs(zeta) * rnorm <= tol * bnorm:
+                rung.iterations, rung.converged = k, True
+                active.remove(rung)
+                continue
+            rung.p = zeta * r + ((zeta / rung.zeta) ** 2 * beta) * rung.p
+            rung.zeta_old, rung.zeta = rung.zeta, zeta
+        if rnorm <= tol * bnorm:
+            return stop(k, True)
+        p = r + beta * p
         rho = rho_new
-    return x, maxit, False
+        alpha_old, beta_old = alpha, beta
+    return stop(maxit, False)
+
+
+def synthesize_ladder(problems) -> list[ControlResult]:
+    """Penalized null-control synthesis for a ladder of penalties.
+
+    The problems may differ only in eps (ValueError otherwise); results come
+    back in their order, and eps need not be sorted or distinct.  One
+    multi-shift CG in the M inner product solves every
+    (Lambda + eps I) PhiHat_T = e^{T A} U0 in the Krylov space of the
+    smallest eps, the seed, with one Gramian apply per seed iteration.  The
+    seed rung is bit for bit the plain CG of its eps alone; every other rung
+    stops at the first iteration where its own residual, |zeta| times the
+    seed's, is within cg_tol of ||b||_M, so it matches its own CG to that
+    tolerance, not in the last bits.
+
+    Per rung, the control g = -phi_G comes from the backward solve of
+    PhiHat_T, and the controlled forward run records the achieved final
+    state U(T) = eps PhiHat_T and its norm.  The reported cost is the
+    penalized objective 0.5 ||g||^2 + (1 / 2 eps) ||U(T)||_M^2, which g
+    minimizes; the module docstring states what that implies across the
+    ladder.
+    """
+    problems = list(problems)
+    if not problems:
+        raise ValueError("need at least one control problem")
+    first = problems[0]
+    for other in problems[1:]:
+        same = (
+            other.sys is first.sys
+            and np.array_equal(other.U0, first.U0)
+            and (other.T, other.nt, other.theta, other.cg_tol, other.cg_maxit)
+            == (first.T, first.nt, first.theta, first.cg_tol, first.cg_maxit)
+        )
+        if not same:
+            raise ValueError("a control ladder's problems may differ only in eps")
+    sys = first.sys
+    U0 = np.asarray(first.U0, dtype=float)
+    prop = Propagator(sys, first.T, first.nt, first.theta)
+    g_times = control_sample_times(first.T, first.nt, first.theta)
+
+    b = prop.forward_final(U0, None)
+    b_norm = norm_X2(sys, b)
+    solved = _cg_in_M(
+        sys,
+        lambda v: gramian_apply(prop, v),
+        b,
+        [problem.eps for problem in problems],
+        first.cg_tol,
+        first.cg_maxit,
+    )
+
+    results = []
+    for problem, (phi_T, iterations, converged) in zip(problems, solved):
+        eps = problem.eps
+        if iterations == 0:
+            g_vals = np.zeros((first.nt, sys.n_boundary))
+            final_state = b
+        else:
+            g_vals = -prop.backward_trace(phi_T)
+            final_state = prop.forward_final(U0, BoundarySignal(g_vals))
+
+        final_norm = norm_X2(sys, final_state)
+        control_norm = signal_norm_L2(sys, g_vals, prop.dt)
+        cost = 0.5 * control_norm**2 + final_norm**2 / (2.0 * eps)
+        true_residual = (
+            norm_X2(sys, final_state - eps * phi_T) / b_norm if b_norm > 0.0 else 0.0
+        )
+        results.append(
+            ControlResult(
+                g=BoundarySignal(g_vals),
+                g_times=g_times,
+                final_norm=final_norm,
+                control_norm=control_norm,
+                iterations=iterations,
+                cost=cost,
+                converged=converged,
+                phi_T=phi_T,
+                final_state=final_state,
+                true_residual=true_residual,
+            )
+        )
+    return results
 
 
 def synthesize_control(problem: ControlProblem) -> ControlResult:
-    """Penalized null-control synthesis.
+    """Penalized null-control synthesis for one eps: a ladder of one rung.
 
-    Solves (Lambda + eps I) PhiHat_T = e^{T A} U0 by conjugate gradients in
-    the M inner product, extracts the control g = -phi_G from the backward
-    solve of PhiHat_T, and re-runs the controlled forward system to record
-    the achieved final state U(T) = eps PhiHat_T and its norm.  The reported
-    cost is the penalized objective 0.5 ||g||^2 + (1 / 2 eps) ||U(T)||_M^2,
-    which g minimizes: across a penalty ladder the final norm is
-    nondecreasing in eps, the ratio across a step eps_hi > eps_lo lies in
-    [1, eps_hi / eps_lo], and ||U(T)||_M^2 <= eps ||v||^2 + ||U_v(T)||_M^2
-    for any control v.  No fixed rate is promised.
+    Same as ``synthesize_ladder([problem])[0]``: plain CG in the M inner
+    product on (Lambda + eps I) PhiHat_T = e^{T A} U0, then the control
+    g = -phi_G and the achieved final state U(T) = eps PhiHat_T.
     """
-    sys = problem.sys
-    U0 = np.asarray(problem.U0, dtype=float)
-    T, nt, theta, eps = problem.T, problem.nt, problem.theta, problem.eps
-    prop = Propagator(sys, T, nt, theta)
-    g_times = control_sample_times(T, nt, theta)
-
-    b = prop.forward_final(U0, None)
-
-    def apply_op(v: np.ndarray) -> np.ndarray:
-        return gramian_apply(prop, v) + eps * v
-
-    phi_T, iterations, converged = _cg_in_M(
-        sys, apply_op, b, problem.cg_tol, problem.cg_maxit
-    )
-
-    if iterations == 0:
-        g_vals = np.zeros((nt, sys.n_boundary))
-        final_state = b
-    else:
-        g_vals = -prop.backward_trace(phi_T)
-        final_state = prop.forward_final(U0, BoundarySignal(g_vals))
-
-    final_norm = norm_X2(sys, final_state)
-    control_norm = signal_norm_L2(sys, g_vals, prop.dt)
-    cost = 0.5 * control_norm**2 + final_norm**2 / (2.0 * eps)
-    b_norm = norm_X2(sys, b)
-    true_residual = (
-        norm_X2(sys, final_state - eps * phi_T) / b_norm if b_norm > 0.0 else 0.0
-    )
-    return ControlResult(
-        g=BoundarySignal(g_vals),
-        g_times=g_times,
-        final_norm=final_norm,
-        control_norm=control_norm,
-        iterations=iterations,
-        cost=cost,
-        converged=converged,
-        phi_T=phi_T,
-        final_state=final_state,
-        true_residual=true_residual,
-    )
+    return synthesize_ladder([problem])[0]
 
 
 def verify_null(

@@ -19,7 +19,8 @@ from dynbc import (
     solve_backward,
     weight_bounds,
 )
-from dynbc.carleman import _cell_gradient_ops, _nodal_grad_sq
+from dynbc import carleman
+from dynbc.carleman import _cell_gradient_ops, _interior_weights, _nodal_grad_sq
 
 
 def unit_interval_setup(n=8, nt=16, beta=1.0):
@@ -288,6 +289,36 @@ def test_lhs_reuses_given_grad_sq():
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
     grad_sq = _nodal_grad_sq(s, adj.states[1:-1])
     assert carleman_lhs(s, adj, p, grad_sq=grad_sq) == carleman_lhs(s, adj, p)
+
+
+def test_sides_reuse_given_weights():
+    mesh, s, eta, adj = unit_interval_setup()
+    p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
+    w = _interior_weights(p, s, adj)
+    assert carleman_lhs(s, adj, p, weights=w) == carleman_lhs(s, adj, p)
+    for path in ("equation", "direct"):
+        got = carleman_rhs(s, adj, p, path=path, weights=w)
+        assert got == carleman_rhs(s, adj, p, path=path)
+
+
+def test_sweep_evaluates_weights_once_per_sample_and_cell(monkeypatch):
+    mesh = build_interval_mesh(0, 1, 8)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=lam, R=R, m=1.5, T=1.0, eta=eta)
+        for lam in (1.0, 2.0)
+        for R in (1.0, 2.0, 4.0)
+    ]
+    calls = []
+
+    def counting(params, mesh, times):
+        calls.append(params)
+        return eval_weights(params, mesh, times)
+
+    monkeypatch.setattr(carleman, "eval_weights", counting)
+    carleman_sweep(s, grid, 16, 0.5, 3, 4)
+    assert len(calls) == 3 * len(grid)
 
 
 def test_sweep_equals_cell_major_oracle():

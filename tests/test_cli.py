@@ -126,7 +126,7 @@ def test_adjoint_task(tmp_path):
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
-def test_carleman_task_threads_match(tmp_path):
+def test_carleman_task_is_deterministic(tmp_path):
     cfg = base_config(task="carleman")
     cfg["geometry"]["n"] = 16
     cfg["T"] = 1.0
@@ -139,13 +139,13 @@ def test_carleman_task_threads_match(tmp_path):
         "seed": 7,
     }
     path = write_config(tmp_path, cfg)
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(["run", path, "--out", str(seq)]) == 0
-    assert main(["run", path, "--out", str(par), "--threads", "2"]) == 0
-    assert (seq / "carleman_sweep.csv").read_bytes() == (
-        par / "carleman_sweep.csv"
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", path, "--out", str(first)]) == 0
+    assert main(["run", path, "--out", str(second)]) == 0
+    assert (first / "carleman_sweep.csv").read_bytes() == (
+        second / "carleman_sweep.csv"
     ).read_bytes()
-    summary = json.loads((seq / "carleman_summary.json").read_text())
+    summary = json.loads((first / "carleman_summary.json").read_text())
     assert len(summary["max_ratio"]) == 2
     assert summary["lambda_floor_unbounded_nodes"] == 1
 
@@ -214,13 +214,14 @@ def test_profile_beta(tmp_path):
 
 def test_control_csv_bytes_equal_loop_oracle(tmp_path, monkeypatch):
     results = []
-    synthesize = cli.synthesize_control
+    synthesize = cli.synthesize_ladder
 
-    def capture(problem):
-        results.append(synthesize(problem))
-        return results[-1]
+    def capture(problems):
+        out = synthesize(problems)
+        results.extend(out)
+        return out
 
-    monkeypatch.setattr(cli, "synthesize_control", capture)
+    monkeypatch.setattr(cli, "synthesize_ladder", capture)
     cfg = base_config(task="control")
     cfg["geometry"] = {"kind": "disk", "rho": 1.0, "nr": 2, "ntheta": 8}
     cfg["params"] = {"u0": {"kind": "random", "seed": 5}, "eps": [1e-2, 1e-4]}

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+import dynbc.control
 from dynbc import (
     ControlProblem,
     Propagator,
     assemble,
+    build_disk_mesh,
     build_interval_mesh,
     gramian_apply,
     inner_X2,
     norm_X2,
     smallest_eigenpair,
     synthesize_control,
+    synthesize_ladder,
     verify_null,
 )
 from dynbc.control import _cg_in_M
@@ -151,16 +154,32 @@ def test_cg_stops_on_indefinite_operator():
     s = interval_sys()
     b = np.random.default_rng(1).standard_normal(s.ndof)
     signs = np.where(np.arange(s.ndof) % 2 == 0, 1.0, -1.0)
-    x, iterations, converged = _cg_in_M(s, lambda v: signs * v, b, 1e-10, 50)
+    [(x, iterations, converged)] = _cg_in_M(
+        s, lambda v: signs * v, b, [0.0], 1e-10, 50
+    )
     assert not converged
     assert iterations < 50
     assert np.all(np.isfinite(x))
-    x, iterations, converged = _cg_in_M(s, lambda v: -v, b, 1e-10, 50)
+    [(x, iterations, converged)] = _cg_in_M(s, lambda v: -v, b, [0.0], 1e-10, 50)
     assert (iterations, converged) == (0, False)
     np.testing.assert_array_equal(x, 0.0)
-    x, _, converged = _cg_in_M(s, lambda v: np.full_like(v, np.nan), b, 1e-10, 50)
+    [(x, _, converged)] = _cg_in_M(
+        s, lambda v: np.full_like(v, np.nan), b, [0.0], 1e-10, 50
+    )
     assert not converged
     assert np.all(np.isfinite(x))
+
+
+def test_cg_stops_only_the_rung_whose_zeta_breaks_down():
+    s = interval_sys()
+    b = np.random.default_rng(1).standard_normal(s.ndof)
+    huge = np.finfo(float).max  # 1 + alpha * huge overflows: alpha = 2 here
+    with np.errstate(over="ignore"):
+        seed, rung = _cg_in_M(s, lambda v: 0.5 * v, b, [0.0, huge], 1e-10, 50)
+    assert seed[1:] == (1, True)
+    np.testing.assert_array_equal(seed[0], 2.0 * b)
+    assert rung[1:] == (0, False)
+    np.testing.assert_array_equal(rung[0], 0.0)
 
 
 def test_true_residual_is_final_state_defect():
@@ -174,3 +193,147 @@ def test_true_residual_is_final_state_defect():
     assert res.true_residual <= 10 * prob.cg_tol
     zero = ControlProblem(sys=s, U0=np.zeros(s.ndof), T=1.0, nt=16, eps=1e-4)
     assert synthesize_control(zero).true_residual == 0.0
+
+
+def _plain_cg_in_M(sys, apply_op, b, tol, maxit):
+    """The single-eps CG that preceded the multi-shift solver, kept verbatim."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    rho = inner_X2(sys, r, r)
+    bnorm = np.sqrt(rho)
+    if bnorm == 0.0:
+        return x, 0, True
+    p = r.copy()
+    for k in range(1, maxit + 1):
+        q = apply_op(p)
+        curvature = inner_X2(sys, p, q)
+        if not (np.isfinite(curvature) and curvature > 0.0):
+            return x, k - 1, False
+        alpha = rho / curvature
+        x += alpha * p
+        r -= alpha * q
+        rho_new = inner_X2(sys, r, r)
+        if np.sqrt(rho_new) <= tol * bnorm:
+            return x, k, True
+        p = r + (rho_new / rho) * p
+        rho = rho_new
+    return x, maxit, False
+
+
+LADDER = (1e-2, 1e-4, 1e-6)
+
+
+@pytest.fixture(params=["interval16", "disk8x32"])
+def ladder_case(request):
+    """(system, U0, nt) of a small control instance."""
+    if request.param == "interval16":
+        s, nt = interval_sys(n=16), 64
+    else:
+        s, nt = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.0, 1.0), 32
+    return s, ground_mode(s), nt
+
+
+def ladder_problems(case, eps_list, **kw):
+    s, U0, nt = case
+    return [
+        ControlProblem(sys=s, U0=U0, T=1.0, nt=nt, eps=eps, **kw) for eps in eps_list
+    ]
+
+
+def test_one_shift_solver_bitwise_equals_plain_cg(ladder_case):
+    s, U0, nt = ladder_case
+    prop = Propagator(s, 1.0, nt, 0.5)
+    b = prop.forward_final(U0, None)
+
+    def gram(v):
+        return gramian_apply(prop, v)
+
+    for eps, tol, maxit in ((1e-6, 1e-8, 500), (1e-4, 1e-8, 500), (1e-6, 1e-8, 3)):
+        want = _plain_cg_in_M(s, lambda v: gram(v) + eps * v, b, tol, maxit)
+        [got] = _cg_in_M(s, gram, b, [eps], tol, maxit)
+        seed = _cg_in_M(s, gram, b, [1e-1, eps * 10, eps], tol, maxit)[2]
+        for x, iterations, converged in (got, seed):
+            assert (iterations, converged) == want[1:]
+            assert x.tobytes() == want[0].tobytes()
+
+
+def test_ladder_seed_rung_bitwise_equals_single_solve(ladder_case):
+    ladder = synthesize_ladder(ladder_problems(ladder_case, LADDER))
+    [single] = ladder_problems(ladder_case, [LADDER[-1]])
+    alone = synthesize_control(single)
+    seed = ladder[-1]
+    assert seed.iterations == alone.iterations
+    assert seed.converged and alone.converged
+    for name in ("phi_T", "final_state"):
+        assert getattr(seed, name).tobytes() == getattr(alone, name).tobytes()
+    assert seed.g.values.tobytes() == alone.g.values.tobytes()
+
+
+def test_ladder_rungs_match_their_single_solves(ladder_case):
+    s = ladder_case[0]
+    problems = ladder_problems(ladder_case, LADDER)
+    for problem, rung in zip(problems, synthesize_ladder(problems)):
+        alone = synthesize_control(problem)
+        assert rung.converged == alone.converged
+        # in exact arithmetic the rung's residual is its own CG's
+        assert abs(rung.iterations - alone.iterations) <= 1
+        gap = norm_X2(s, rung.phi_T - alone.phi_T) / norm_X2(s, alone.phi_T)
+        assert gap <= 100 * problem.cg_tol
+
+
+def test_ladder_applies_gramian_once_per_seed_iteration(ladder_case, monkeypatch):
+    applies = []
+
+    def counting(prop, PhiT):
+        applies.append(1)
+        return gramian_apply(prop, PhiT)
+
+    monkeypatch.setattr(dynbc.control, "gramian_apply", counting)
+    results = synthesize_ladder(ladder_problems(ladder_case, LADDER))
+    assert len(applies) == results[-1].iterations
+    assert [r.iterations for r in results] == sorted(r.iterations for r in results)
+
+
+def test_ladder_keeps_input_order_for_unsorted_and_repeated_eps(ladder_case):
+    by_eps = dict(zip(LADDER, synthesize_ladder(ladder_problems(ladder_case, LADDER))))
+    order = [1e-4, 1e-6, 1e-2, 1e-4, 1e-6]
+    results = synthesize_ladder(ladder_problems(ladder_case, order))
+    assert len(results) == len(order)
+    for eps, res in zip(order, results):
+        want = by_eps[eps]
+        assert (res.iterations, res.converged) == (want.iterations, want.converged)
+        assert res.phi_T.tobytes() == want.phi_T.tobytes()
+        assert res.final_norm == want.final_norm
+
+
+def test_ladder_rejects_problems_that_differ_beyond_eps():
+    s = interval_sys()
+    U0 = ground_mode(s)
+    base = dict(sys=s, U0=U0, T=1.0, nt=16, theta=0.5, cg_tol=1e-8, cg_maxit=500)
+    changes = dict(
+        sys=interval_sys(),
+        U0=2.0 * U0,
+        T=2.0,
+        nt=32,
+        theta=1.0,
+        cg_tol=1e-6,
+        cg_maxit=10,
+    )
+    for field, value in changes.items():
+        first = ControlProblem(eps=1e-2, **base)
+        other = ControlProblem(eps=1e-4, **{**base, field: value})
+        with pytest.raises(ValueError):
+            synthesize_ladder([first, other])
+    with pytest.raises(ValueError):
+        synthesize_ladder([])
+
+
+def test_zero_initial_state_gives_zero_control_on_every_rung():
+    s = interval_sys()
+    problems = [
+        ControlProblem(sys=s, U0=np.zeros(s.ndof), T=1.0, nt=16, eps=eps)
+        for eps in LADDER
+    ]
+    for res in synthesize_ladder(problems):
+        assert (res.iterations, res.converged, res.final_norm) == (0, True, 0.0)
+        np.testing.assert_array_equal(res.g.values, 0.0)
