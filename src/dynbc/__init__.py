@@ -30,6 +30,7 @@ from .carleman import (
     weight_bounds,
 )
 from .control import (
+    ControlLadder,
     ControlProblem,
     ControlResult,
     NullControlReport,

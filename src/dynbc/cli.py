@@ -67,7 +67,7 @@ from .evolution import (
 from .mesh import build_disk_mesh, build_eta, build_interval_mesh, build_rect_mesh
 from .observability import estimate_CT
 
-__all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "main"]
 
 _TASKS = ("simulate", "adjoint", "carleman", "observability", "control")
 
@@ -92,16 +92,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config: file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be a JSON object")
-        return ExperimentConfig.from_dict(data)
+        return load_config(path)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Read and validate a config file; ConfigError says what is wrong."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config: file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError("config: top level must be a JSON object")
+    return ExperimentConfig.from_dict(data)
 
 
 def _need(data: dict, field: str, types, where: str = ""):
@@ -529,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        config = ExperimentConfig.from_file(args.config)
+        config = load_config(args.config)
         return run(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,14 @@ the exact transpose of the forward step.  The penalized problem
 is solved by conjugate gradients in the M inner product (each operator
 application is one backward plus one forward solve, all on one factored
 Propagator).  A ladder of penalties shares Lambda and the right-hand side,
-so ``synthesize_ladder`` solves every rung in one Krylov space by multi-shift
+so a ``ControlLadder`` solves every rung in one Krylov space by multi-shift
 CG: the smallest eps is the seed, whose plain CG makes the one Gramian apply
 per iteration, and every other rung tracks its residual as a scalar multiple
 zeta of the seed's and stops at the first iteration where that residual is
 within cg_tol of ||b||_M.  Only the seed rung is bit for bit the CG of its
 eps alone; the others agree with theirs to the CG tolerance.
+``synthesize_ladder`` runs ``synthesize_control`` on every rung of one
+ladder; the first call makes the shared solve.
 
 The control is the negated theta-level adjoint trace, g = -phi_G, and
 drives the state to exactly U(T) = eps PhiHat_T, up to the
@@ -52,6 +54,7 @@ from .assembly import DiscreteSystem, inner_X2, norm_X2
 from .evolution import BoundarySignal, Propagator, duality_residual
 
 __all__ = [
+    "ControlLadder",
     "ControlProblem",
     "ControlResult",
     "NullControlReport",
@@ -162,8 +165,9 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
     r_s = zeta_s r, with no further applies, and freezes its iterate at the
     first iteration where |zeta_s| ||r||_M <= tol ||b||_M.
 
-    Returns one (x, iterations, converged) per entry of shifts, in order;
-    entries equal to the smallest shift share the seed's result.  A seed
+    Returns one (x, iterations, converged) per entry of shifts, in order,
+    each with its own x; entries equal to the smallest shift get copies of
+    the seed's result.  A seed
     curvature <p, q>_M that is not positive and finite means the operator
     is not SPD on the Krylov space: every rung still iterating stops there
     with converged=False and its last iterate.  A zeta denominator that is
@@ -187,11 +191,12 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
     def stop(iterations, converged):
         for rung in active:
             rung.iterations = iterations
+        first_seed = shifts.index(seed)
         return [
-            (x, iterations, converged)
+            (x if i == first_seed else x.copy(), iterations, converged)
             if rung is None
             else (rung.x, rung.iterations, rung.converged)
-            for rung in rungs
+            for i, rung in enumerate(rungs)
         ]
 
     for k in range(1, maxit + 1):
@@ -231,96 +236,129 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
     return stop(maxit, False)
 
 
+class ControlLadder:
+    """Control problems that differ only in eps, solved in one Krylov space.
+
+    The problems are checked on construction: ValueError when there are
+    none, or when any two differ in sys, U0, T, nt, theta, cg_tol or
+    cg_maxit.  The shared work, one Propagator, the right-hand side
+    b = e^{T A} U0 and one multi-shift CG over every distinct eps, runs once,
+    in the first ``synthesize_control(problem, ladder=...)`` call, and the
+    later calls only finish their rung from it.
+    """
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        if not self.problems:
+            raise ValueError("need at least one control problem")
+        for other in self.problems[1:]:
+            self._check(other)
+        self._shared = None
+
+    def _check(self, problem: ControlProblem) -> None:
+        first = self.problems[0]
+        same = (
+            problem.sys is first.sys
+            and np.array_equal(problem.U0, first.U0)
+            and (problem.T, problem.nt, problem.theta, problem.cg_tol, problem.cg_maxit)
+            == (first.T, first.nt, first.theta, first.cg_tol, first.cg_maxit)
+        )
+        if not same:
+            raise ValueError("a control ladder's problems may differ only in eps")
+
+    def _rung(self, problem: ControlProblem):
+        """(Propagator, b, PhiHat_T, iterations, converged) of problem's eps.
+
+        PhiHat_T is a fresh array on every call, so results never share it.
+        """
+        self._check(problem)
+        eps_list = list(dict.fromkeys(p.eps for p in self.problems))
+        if problem.eps not in eps_list:
+            raise ValueError(f"eps={problem.eps} is not a rung of this ladder")
+        if self._shared is None:
+            first = self.problems[0]
+            prop = Propagator(first.sys, first.T, first.nt, first.theta)
+            b = prop.forward_final(np.asarray(first.U0, dtype=float), None)
+            solved = _cg_in_M(
+                first.sys,
+                lambda v: gramian_apply(prop, v),
+                b,
+                eps_list,
+                first.cg_tol,
+                first.cg_maxit,
+            )
+            self._shared = (prop, b, dict(zip(eps_list, solved)))
+        prop, b, solved = self._shared
+        phi_T, iterations, converged = solved[problem.eps]
+        return prop, b, phi_T.copy(), iterations, converged
+
+
+def synthesize_control(
+    problem: ControlProblem, *, ladder: ControlLadder | None = None
+) -> ControlResult:
+    """Penalized null-control synthesis for one eps.
+
+    PhiHat_T solves (Lambda + eps I) PhiHat_T = e^{T A} U0 by CG in the M
+    inner product.  Alone, that is plain CG on this eps.  With a ladder that
+    holds a problem equal to this one but for eps (ValueError otherwise),
+    PhiHat_T is this eps's rung of the ladder's one multi-shift CG, seeded
+    by the ladder's smallest eps: the seed rung is bit for bit the plain CG
+    of its eps alone, and every other rung stops at the first iteration
+    where its own residual, |zeta| times the seed's, is within cg_tol of
+    ||b||_M, so it matches its own CG to that tolerance, not in the last
+    bits.
+
+    The control g = -phi_G comes from the backward solve of PhiHat_T, and
+    the controlled forward run records the achieved final state
+    U(T) = eps PhiHat_T and its norm.  The reported cost is the penalized
+    objective 0.5 ||g||^2 + (1 / 2 eps) ||U(T)||_M^2, which g minimizes;
+    the module docstring states what that implies across a ladder.
+    """
+    if ladder is None:
+        ladder = ControlLadder([problem])
+    prop, b, phi_T, iterations, converged = ladder._rung(problem)
+    sys, eps = problem.sys, problem.eps
+    if iterations == 0:
+        g_vals = np.zeros((problem.nt, sys.n_boundary))
+        final_state = b.copy()
+    else:
+        g_vals = -prop.backward_trace(phi_T)
+        final_state = prop.forward_final(
+            np.asarray(problem.U0, dtype=float), BoundarySignal(g_vals)
+        )
+
+    final_norm = norm_X2(sys, final_state)
+    control_norm = signal_norm_L2(sys, g_vals, prop.dt)
+    cost = 0.5 * control_norm**2 + final_norm**2 / (2.0 * eps)
+    b_norm = norm_X2(sys, b)
+    true_residual = (
+        norm_X2(sys, final_state - eps * phi_T) / b_norm if b_norm > 0.0 else 0.0
+    )
+    return ControlResult(
+        g=BoundarySignal(g_vals),
+        g_times=control_sample_times(problem.T, problem.nt, problem.theta),
+        final_norm=final_norm,
+        control_norm=control_norm,
+        iterations=iterations,
+        cost=cost,
+        converged=converged,
+        phi_T=phi_T,
+        final_state=final_state,
+        true_residual=true_residual,
+    )
+
+
 def synthesize_ladder(problems) -> list[ControlResult]:
     """Penalized null-control synthesis for a ladder of penalties.
 
     The problems may differ only in eps (ValueError otherwise); results come
     back in their order, and eps need not be sorted or distinct.  One
-    multi-shift CG in the M inner product solves every
-    (Lambda + eps I) PhiHat_T = e^{T A} U0 in the Krylov space of the
-    smallest eps, the seed, with one Gramian apply per seed iteration.  The
-    seed rung is bit for bit the plain CG of its eps alone; every other rung
-    stops at the first iteration where its own residual, |zeta| times the
-    seed's, is within cg_tol of ||b||_M, so it matches its own CG to that
-    tolerance, not in the last bits.
-
-    Per rung, the control g = -phi_G comes from the backward solve of
-    PhiHat_T, and the controlled forward run records the achieved final
-    state U(T) = eps PhiHat_T and its norm.  The reported cost is the
-    penalized objective 0.5 ||g||^2 + (1 / 2 eps) ||U(T)||_M^2, which g
-    minimizes; the module docstring states what that implies across the
-    ladder.
+    ``ControlLadder`` holds them, so every rung comes from one multi-shift
+    CG with one Gramian apply per iteration of the smallest eps; each result
+    is ``synthesize_control(problem, ladder=...)``.
     """
-    problems = list(problems)
-    if not problems:
-        raise ValueError("need at least one control problem")
-    first = problems[0]
-    for other in problems[1:]:
-        same = (
-            other.sys is first.sys
-            and np.array_equal(other.U0, first.U0)
-            and (other.T, other.nt, other.theta, other.cg_tol, other.cg_maxit)
-            == (first.T, first.nt, first.theta, first.cg_tol, first.cg_maxit)
-        )
-        if not same:
-            raise ValueError("a control ladder's problems may differ only in eps")
-    sys = first.sys
-    U0 = np.asarray(first.U0, dtype=float)
-    prop = Propagator(sys, first.T, first.nt, first.theta)
-    g_times = control_sample_times(first.T, first.nt, first.theta)
-
-    b = prop.forward_final(U0, None)
-    b_norm = norm_X2(sys, b)
-    solved = _cg_in_M(
-        sys,
-        lambda v: gramian_apply(prop, v),
-        b,
-        [problem.eps for problem in problems],
-        first.cg_tol,
-        first.cg_maxit,
-    )
-
-    results = []
-    for problem, (phi_T, iterations, converged) in zip(problems, solved):
-        eps = problem.eps
-        if iterations == 0:
-            g_vals = np.zeros((first.nt, sys.n_boundary))
-            final_state = b
-        else:
-            g_vals = -prop.backward_trace(phi_T)
-            final_state = prop.forward_final(U0, BoundarySignal(g_vals))
-
-        final_norm = norm_X2(sys, final_state)
-        control_norm = signal_norm_L2(sys, g_vals, prop.dt)
-        cost = 0.5 * control_norm**2 + final_norm**2 / (2.0 * eps)
-        true_residual = (
-            norm_X2(sys, final_state - eps * phi_T) / b_norm if b_norm > 0.0 else 0.0
-        )
-        results.append(
-            ControlResult(
-                g=BoundarySignal(g_vals),
-                g_times=g_times,
-                final_norm=final_norm,
-                control_norm=control_norm,
-                iterations=iterations,
-                cost=cost,
-                converged=converged,
-                phi_T=phi_T,
-                final_state=final_state,
-                true_residual=true_residual,
-            )
-        )
-    return results
-
-
-def synthesize_control(problem: ControlProblem) -> ControlResult:
-    """Penalized null-control synthesis for one eps: a ladder of one rung.
-
-    Same as ``synthesize_ladder([problem])[0]``: plain CG in the M inner
-    product on (Lambda + eps I) PhiHat_T = e^{T A} U0, then the control
-    g = -phi_G and the achieved final state U(T) = eps PhiHat_T.
-    """
-    return synthesize_ladder([problem])[0]
+    ladder = ControlLadder(problems)
+    return [synthesize_control(problem, ladder=ladder) for problem in ladder.problems]
 
 
 def verify_null(

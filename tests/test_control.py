@@ -3,6 +3,7 @@ import pytest
 
 import dynbc.control
 from dynbc import (
+    ControlLadder,
     ControlProblem,
     Propagator,
     assemble,
@@ -304,6 +305,42 @@ def test_ladder_keeps_input_order_for_unsorted_and_repeated_eps(ladder_case):
         assert (res.iterations, res.converged) == (want.iterations, want.converged)
         assert res.phi_T.tobytes() == want.phi_T.tobytes()
         assert res.final_norm == want.final_norm
+    for i, a in enumerate(results):
+        for b in results[i + 1:]:
+            assert a.phi_T is not b.phi_T
+            assert a.final_state is not b.final_state
+
+
+def test_repeated_seed_shift_gets_its_own_iterate():
+    s = interval_sys()
+    b = np.random.default_rng(1).standard_normal(s.ndof)
+    solved = _cg_in_M(s, lambda v: 0.5 * v, b, [0.0, 1.0, 0.0], 1e-10, 50)
+    assert solved[0][0] is not solved[2][0]
+    assert solved[0][0].tobytes() == solved[2][0].tobytes()
+
+
+def test_control_with_ladder_solves_once_and_checks_its_rung(ladder_case, monkeypatch):
+    problems = ladder_problems(ladder_case, LADDER)
+    ladder = ControlLadder(problems)
+    applies = []
+
+    def counting(prop, PhiT):
+        applies.append(1)
+        return gramian_apply(prop, PhiT)
+
+    monkeypatch.setattr(dynbc.control, "gramian_apply", counting)
+    [single] = ladder_problems(ladder_case, [LADDER[1]])
+    rung = synthesize_control(single, ladder=ladder)
+    seed = synthesize_control(problems[-1], ladder=ladder)
+    assert len(applies) == seed.iterations
+    want = synthesize_ladder(problems)[1]
+    assert rung.phi_T.tobytes() == want.phi_T.tobytes()
+    assert rung.iterations == want.iterations
+    for eps, U0 in ((1e-3, single.U0), (LADDER[1], 2.0 * single.U0)):
+        [other] = ladder_problems(ladder_case, [eps])
+        other.U0 = U0
+        with pytest.raises(ValueError):
+            synthesize_control(other, ladder=ladder)
 
 
 def test_ladder_rejects_problems_that_differ_beyond_eps():
@@ -334,6 +371,8 @@ def test_zero_initial_state_gives_zero_control_on_every_rung():
         ControlProblem(sys=s, U0=np.zeros(s.ndof), T=1.0, nt=16, eps=eps)
         for eps in LADDER
     ]
-    for res in synthesize_ladder(problems):
+    results = synthesize_ladder(problems)
+    for res in results:
         assert (res.iterations, res.converged, res.final_norm) == (0, True, 0.0)
         np.testing.assert_array_equal(res.g.values, 0.0)
+    assert results[0].final_state is not results[1].final_state
