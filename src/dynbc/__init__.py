@@ -10,10 +10,8 @@ penalized Gramian solved with conjugate gradients.
 from .assembly import (
     ConvergenceError,
     DiscreteSystem,
-    StatePair,
     assemble,
     estimate_coercivity,
-    export_matrix_coo,
     inner_X2,
     norm_X2,
     smallest_eigenpair,

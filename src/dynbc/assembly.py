@@ -27,7 +27,6 @@ import scipy.sparse.linalg as spla
 from .mesh import BulkSurfaceMesh
 
 __all__ = [
-    "StatePair",
     "DiscreteSystem",
     "ConvergenceError",
     "assemble",
@@ -35,53 +34,11 @@ __all__ = [
     "norm_X2",
     "estimate_coercivity",
     "smallest_eigenpair",
-    "export_matrix_coo",
 ]
 
 
 class ConvergenceError(RuntimeError):
     """An iterative eigenvalue solve failed to reach its tolerance."""
-
-
-@dataclass
-class StatePair:
-    """A bulk field together with a boundary field.
-
-    With trace-coupled degrees of freedom the two fields share the boundary
-    nodes; ``to_vector`` realizes the pair as a single coupled vector by
-    overwriting the boundary entries of the bulk field with the surface
-    values (the surface datum wins when the two disagree).
-    """
-
-    bulk: np.ndarray
-    surface: np.ndarray
-
-    def to_vector(self, mesh: BulkSurfaceMesh) -> np.ndarray:
-        if self.bulk.shape[0] != mesh.n_nodes:
-            raise ValueError(
-                f"bulk field has {self.bulk.shape[0]} entries, "
-                f"mesh has {mesh.n_nodes} nodes"
-            )
-        if self.surface.shape[0] != mesh.n_boundary:
-            raise ValueError(
-                f"surface field has {self.surface.shape[0]} entries, "
-                f"mesh has {mesh.n_boundary} boundary nodes"
-            )
-        vec = np.asarray(self.bulk, dtype=float).copy()
-        vec[mesh.boundary_nodes] = self.surface
-        return vec
-
-    @staticmethod
-    def from_vector(mesh: BulkSurfaceMesh, vec: np.ndarray) -> "StatePair":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape[0] != mesh.n_nodes:
-            raise ValueError("vector length does not match mesh node count")
-        return StatePair(bulk=vec.copy(), surface=vec[mesh.boundary_nodes].copy())
-
-    def is_trace_coupled(self, mesh: BulkSurfaceMesh, tol: float = 1e-14) -> bool:
-        return bool(
-            np.max(np.abs(self.bulk[mesh.boundary_nodes] - self.surface)) <= tol
-        )
 
 
 @dataclass
@@ -259,15 +216,6 @@ def estimate_coercivity(sys: DiscreteSystem, tol: float = 1e-10) -> float:
     """Best constant c with x^T K x >= c x^T M x for all x."""
     c, _ = smallest_eigenpair(sys, tol=tol)
     return c
-
-
-def export_matrix_coo(matrix: sp.spmatrix, path) -> None:
-    """Write a matrix in coordinate text format: one 'row col value' per line."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")
 
 
 def _beta_values(mesh: BulkSurfaceMesh, beta) -> np.ndarray:

@@ -8,7 +8,9 @@ with theta = 0.5 (Crank-Nicolson) or 1 (implicit Euler) and the linear
 solves done by a sparse LU factorization.  A ``Propagator`` holds that
 factorization for one uniform time grid, so every solve on the grid shares
 one ``splu``; ``solve_forward`` and ``solve_backward`` build a Propagator
-per call.
+per call.  ``Propagator.backward_boundary`` steps many final data at once
+as the columns of one block, one multi-column solve per step, and keeps
+only the boundary rows of each level; ``backward_trace`` is built on it.
 
 Since M and K are symmetric, the one-step propagator
 S = (M + theta dt K)^{-1} (M - (1-theta) dt K) is self-adjoint in the M
@@ -191,21 +193,43 @@ class Propagator:
             states[n] = self.lu.solve(self.C @ states[n + 1])
         return self._trajectory(states)
 
+    def backward_boundary(self, PhiT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phi(0) and the boundary rows of every level of ``backward(PhiT)``.
+
+        PhiT is one final datum, shape (ndof,), or k of them as the columns
+        of an (ndof, k) block.  A block is stepped as one: each step makes
+        one product with C and one multi-column solve on the shared
+        factorization.  Returns (Phi0, bound): Phi0 has the shape of PhiT,
+        and bound[n] holds the boundary rows of Phi^n, so bound has shape
+        (nt + 1, n_boundary) or (nt + 1, n_boundary, k).  Only the current
+        adjoint states are kept, not the trajectory.
+        """
+        PhiT = np.asarray(PhiT, dtype=float)
+        ndof = self.sys.ndof
+        if PhiT.ndim not in (1, 2) or PhiT.shape[0] != ndof or PhiT.size == 0:
+            raise ValueError(
+                f"PhiT must have shape ({ndof},) or ({ndof}, k), got {PhiT.shape}"
+            )
+        # SuperLU solves column by column, so hand it columns contiguous
+        cur = np.asfortranarray(PhiT)
+        bnodes = self.sys.boundary_nodes
+        bound = np.empty((self.nt + 1, bnodes.size) + PhiT.shape[1:])
+        bound[self.nt] = cur[bnodes]
+        for n in range(self.nt - 1, -1, -1):
+            cur = self.lu.solve(self.C @ cur)
+            bound[n] = cur[bnodes]
+        return cur, bound
+
     def backward_trace(self, PhiT: np.ndarray) -> np.ndarray:
         """Boundary trace of the theta-level samples of ``backward(PhiT)``.
 
         Row n is theta Phi^n + (1 - theta) Phi^{n+1} on the boundary nodes,
-        shape (nt, n_boundary); only the current adjoint state is kept.
+        shape (nt, n_boundary); only the boundary rows of each level are
+        kept (``backward_boundary``).
         """
-        bnodes = self.sys.boundary_nodes
+        _, bound = self.backward_boundary(self._state(PhiT, "PhiT"))
         th = self.theta
-        trace = np.empty((self.nt, bnodes.size))
-        nxt = self._state(PhiT, "PhiT")
-        for n in range(self.nt - 1, -1, -1):
-            cur = self.lu.solve(self.C @ nxt)
-            trace[n] = th * cur[bnodes] + (1.0 - th) * nxt[bnodes]
-            nxt = cur
-        return trace
+        return th * bound[:-1] + (1.0 - th) * bound[1:]
 
 
 def solve_forward(

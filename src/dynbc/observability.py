@@ -7,9 +7,11 @@ solution by the observed boundary quantity:
 
 It is estimated by sampling seeded random final data of unit M-norm
 (augmented with the lowest generalized eigenvector of (K, M), the natural
-extremal candidate) and taking the largest ratio.  The per-step discrete
-energy identity and a discrete interpolation inequality for the surface
-operator are verified separately.
+extremal candidate) and taking the largest ratio.  All samples are stepped
+backward together as one block on one factorization of the step matrix,
+keeping only Phi(0) and the boundary rows of each time level.  The per-step
+discrete energy identity and a discrete interpolation inequality for the
+surface operator are verified separately.
 """
 
 from __future__ import annotations
@@ -43,9 +45,13 @@ def observation_energy(sys: DiscreteSystem, adj: Trajectory) -> float:
 
     Trapezoidal in time (the integrand is regular here), lumped in space.
     """
-    phi_g = adj.states[:, sys.boundary_nodes]
+    return _observed_energy(sys, adj.states[:, sys.boundary_nodes], adj.dt)
+
+
+def _observed_energy(sys: DiscreteSystem, phi_g: np.ndarray, dt: float) -> float:
+    """``observation_energy`` from the boundary values phi_g, shape (nt + 1, nb)."""
     integrand = ((sys.beta[None, :] * phi_g) ** 2 * sys.m_surf[None, :]).sum(axis=1)
-    wt = np.full(adj.times.shape[0], adj.dt)
+    wt = np.full(phi_g.shape[0], dt)
     wt[0] *= 0.5
     wt[-1] *= 0.5
     return float(wt @ integrand)
@@ -64,8 +70,12 @@ def estimate_CT(
     Each sample pairs ||Phi(0)||_M^2 with the observed boundary energy of
     the backward solve from a unit-M-norm final datum; the first sample is
     the lowest (K, M) eigenvector, the rest are seeded standard normal
-    draws.  Requires beta bounded below by a positive constant, otherwise
-    the observation can vanish.
+    draws.  The samples are stepped as one (ndof, samples) block on one
+    factorization (``Propagator.backward_boundary``): nt multi-column
+    solves in all, holding (nt + 1) x n_boundary x samples boundary values.
+    Requires beta bounded below by a positive constant, otherwise the
+    observation can vanish.  Raises RuntimeError when a sample's energy is
+    not finite or its observation energy is not positive.
     """
     if sys.beta0 <= 0:
         raise ValueError(
@@ -79,12 +89,17 @@ def estimate_CT(
     data = [ground] + _unit_normal_draws(
         sys, np.random.default_rng(seed), samples - 1
     )
+    phi0, bound = prop.backward_boundary(np.column_stack(data))
 
     per_sample = []
-    for v in data:
-        adj = prop.backward(v)
-        initial = inner_X2(sys, adj.states[0], adj.states[0])
-        observed = observation_energy(sys, adj)
+    for j in range(samples):
+        initial = inner_X2(sys, phi0[:, j], phi0[:, j])
+        observed = _observed_energy(sys, bound[:, :, j], prop.dt)
+        if not (np.isfinite(initial) and np.isfinite(observed)):
+            raise RuntimeError(
+                f"sample {j}: initial energy {initial} or observation energy "
+                f"{observed} is not finite; numerical failure"
+            )
         if observed <= 0.0:
             raise RuntimeError(
                 "observation energy vanished for a nonzero final datum; "

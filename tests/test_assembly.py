@@ -5,13 +5,11 @@ import scipy.sparse as sp
 
 from dynbc import assembly
 from dynbc import (
-    StatePair,
     assemble,
     build_disk_mesh,
     build_interval_mesh,
     build_rect_mesh,
     estimate_coercivity,
-    export_matrix_coo,
     inner_X2,
     norm_X2,
     smallest_eigenpair,
@@ -161,32 +159,6 @@ def test_beta_from_callable():
     s = assemble(mesh, gamma=1.0, delta=0.0, beta=lambda x: 1.0 + x[:, 0])
     np.testing.assert_allclose(sorted(s.beta), [1.0, 2.0])
     assert s.beta0 == 1.0
-
-
-def test_state_pair_round_trip_and_coupling():
-    mesh = build_interval_mesh(0, 1, 4)
-    bulk = np.arange(5.0)
-    surface = np.array([10.0, 20.0])
-    pair = StatePair(bulk=bulk, surface=surface)
-    vec = pair.to_vector(mesh)
-    # boundary entries overwritten by the surface datum
-    np.testing.assert_allclose(vec[mesh.boundary_nodes], surface)
-    np.testing.assert_allclose(vec[1:4], bulk[1:4])
-    back = StatePair.from_vector(mesh, vec)
-    assert back.is_trace_coupled(mesh)
-    with pytest.raises(ValueError):
-        StatePair(bulk=np.ones(3), surface=surface).to_vector(mesh)
-
-
-def test_export_coordinate_format(tmp_path):
-    s = interval_sys()
-    path = tmp_path / "K.txt"
-    export_matrix_coo(s.K, path)
-    triples = [line.split() for line in path.read_text().splitlines()]
-    dense = np.zeros((3, 3))
-    for r, c, v in triples:
-        dense[int(r), int(c)] = float(v)
-    np.testing.assert_allclose(dense, s.K.toarray())
 
 
 def _loop_bulk_operators(mesh):

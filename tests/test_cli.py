@@ -44,15 +44,22 @@ def test_zero_simulation(tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    cfg = base_config()
-    cfg["params"] = {"u0": {"kind": "random", "seed": 3}, "g": {"kind": "random", "seed": 4}}
-    path = write_config(tmp_path, cfg)
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["run", path, "--out", str(out)]) == 0
-        outs.append((out / "simulate_trajectory.csv").read_bytes())
-    assert outs[0] == outs[1]
+    sim = base_config()
+    sim["params"] = {"u0": {"kind": "random", "seed": 3}, "g": {"kind": "random", "seed": 4}}
+    obs = base_config(task="observability")
+    obs["geometry"] = {"kind": "disk", "rho": 1.0, "nr": 4, "ntheta": 16}
+    obs["params"] = {"samples": 6, "seed": 2}
+    for cfg, artifact in (
+        (sim, "simulate_trajectory.csv"),
+        (obs, "observability_samples.csv"),
+    ):
+        path = write_config(tmp_path, cfg, name=f"{cfg['task']}.json")
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / cfg["task"] / name
+            assert main(["run", path, "--out", str(out)]) == 0
+            outs.append((out / artifact).read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_config_round_trip_hash_stable(tmp_path):

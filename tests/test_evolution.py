@@ -14,6 +14,7 @@ from dynbc import (
     build_disk_mesh,
     build_eta,
     build_interval_mesh,
+    build_rect_mesh,
     carleman_sweep,
     estimate_CT,
     duality_residual,
@@ -322,6 +323,7 @@ def _loop_backward(sys_, PhiT, T, nt, theta):
 PROPAGATOR_SYSTEMS = {
     "interval8": lambda: interval_sys(n=8),
     "disk8x32": lambda: assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0),
+    "rect7x5": lambda: assemble(build_rect_mesh(1.3, 0.7, 7, 5), 1.0, 0.5, 1.0),
 }
 
 
@@ -357,6 +359,31 @@ def test_propagator_bitwise_equals_loop_oracle(name, theta):
     assert trace.tobytes() == levels[:, s.boundary_nodes].tobytes()
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
+def test_block_backward_matches_one_column_solves(name, theta):
+    # a multi-column SuperLU solve may differ from one-column solves in the
+    # last bits, so the block agrees to a few ulps, a single column bitwise
+    s = PROPAGATOR_SYSTEMS[name]()
+    T, nt, k = 0.7, 12, 5
+    prop = Propagator(s, T, nt, theta)
+    PhiT = np.random.default_rng(14).standard_normal((s.ndof, k))
+    phi0, bound = prop.backward_boundary(PhiT)
+    assert phi0.shape == (s.ndof, k)
+    assert bound.shape == (nt + 1, s.n_boundary, k)
+    for j in range(k):
+        adj = prop.backward(PhiT[:, j])
+        want0, want_b = adj.states[0], adj.states[:, s.boundary_nodes]
+        assert np.abs(phi0[:, j] - want0).max() <= 1e-13 * np.abs(want0).max()
+        assert np.abs(bound[:, :, j] - want_b).max() <= 1e-13 * np.abs(want_b).max()
+        one0, one_b = prop.backward_boundary(PhiT[:, j])
+        assert one0.tobytes() == want0.tobytes()
+        assert one_b.tobytes() == want_b.tobytes()
+    again0, again_b = prop.backward_boundary(PhiT)
+    assert again0.tobytes() == phi0.tobytes()
+    assert again_b.tobytes() == bound.tobytes()
+
+
 def test_propagator_validation():
     s = interval_sys(n=8)
     with pytest.raises(ValueError):
@@ -369,9 +396,14 @@ def test_propagator_validation():
     for method in (prop.forward, prop.forward_final):
         with pytest.raises(ValueError):
             method(np.zeros(s.ndof - 1), None)
-    for method in (prop.backward, prop.backward_trace):
+    for method in (prop.backward, prop.backward_trace, prop.backward_boundary):
         with pytest.raises(ValueError):
             method(np.zeros(s.ndof + 1))
+    for shape in ((s.ndof + 1, 2), (s.ndof, 0), (s.ndof, 2, 1), ()):
+        with pytest.raises(ValueError):
+            prop.backward_boundary(np.zeros(shape))
+    with pytest.raises(ValueError):
+        prop.backward_trace(np.zeros((s.ndof, 2)))
 
 
 @pytest.fixture

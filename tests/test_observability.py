@@ -1,8 +1,12 @@
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dynbc import (
     ControlProblem,
+    Propagator,
     assemble,
     build_disk_mesh,
     build_interval_mesh,
@@ -16,6 +20,8 @@ from dynbc import (
     solve_backward,
     synthesize_control,
 )
+from dynbc import evolution, observability
+from dynbc.assembly import _unit_normal_draws
 
 
 def interval_sys(n=16, beta=1.0):
@@ -63,6 +69,73 @@ def test_shorter_horizon_observes_less():
     long = estimate_CT(s, 1.0, 64, samples=20, seed=4)
     short = estimate_CT(s, 0.5, 32, samples=20, seed=4)
     assert short.CT_estimate >= long.CT_estimate
+
+
+def _loop_estimate_CT(sys_, T, nt, samples, seed, theta):
+    """The per-sample backward loop that the block solve in estimate_CT replaced."""
+    prop = Propagator(sys_, T, nt, theta)
+    _, ground = smallest_eigenpair(sys_)
+    data = [ground] + _unit_normal_draws(
+        sys_, np.random.default_rng(seed), samples - 1
+    )
+    per_sample = []
+    for v in data:
+        adj = prop.backward(v)
+        initial = inner_X2(sys_, adj.states[0], adj.states[0])
+        observed = observation_energy(sys_, adj)
+        per_sample.append((initial, observed, initial / observed))
+    return per_sample
+
+
+class _CountingLU:
+    """A sparse LU factorization that counts its solve calls."""
+
+    def __init__(self, A):
+        self.lu = spla.splu(A)
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("mesh", ["interval", "disk"])
+def test_estimate_matches_per_sample_loop(mesh, theta, monkeypatch):
+    if mesh == "interval":
+        s = interval_sys(n=16)
+    else:
+        s = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0)
+    T, nt, samples = 0.8, 24, 9
+    want = _loop_estimate_CT(s, T, nt, samples, 11, theta)
+    made = []
+
+    def counting_splu(A):
+        made.append(_CountingLU(A))
+        return made[-1]
+
+    monkeypatch.setattr(evolution, "spla", types.SimpleNamespace(splu=counting_splu))
+    rep = estimate_CT(s, T, nt, samples, seed=11, theta=theta)
+    assert len(made) == 1
+    assert made[0].solves == nt
+    assert len(rep.per_sample) == samples
+    for got_row, want_row in zip(rep.per_sample, want):
+        for got, ref in zip(got_row, want_row):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+    assert abs(rep.CT_estimate - max(r for _, _, r in want)) <= 1e-13 * rep.CT_estimate
+
+
+def test_nonfinite_sample_energy_raises(monkeypatch):
+    # energies of this datum overflow to inf and its ratio is nan, which
+    # max() would skip silently
+    s = interval_sys()
+    monkeypatch.setattr(
+        observability,
+        "_unit_normal_draws",
+        lambda sys_, rng, count: [np.full(sys_.ndof, 1e200)] * count,
+    )
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="not finite"):
+        estimate_CT(s, 1.0, 16, samples=3, seed=0)
 
 
 def test_energy_identity_zero():
