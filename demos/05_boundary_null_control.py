@@ -44,7 +44,7 @@ for (eps, (prob, res)), rung in zip(results.items(), ladder):
     print(f"{eps:8.0e} {rung.final_norm:12.4e} {rung.iterations:9d} {diff:10.1e}")
 
 prob, res = results[1e-6]
-report = verify_null(sys_, prob, res)
+report = verify_null(prob, res)
 print(f"\nverification at eps = 1e-6:")
 print(f"  final norm re-run at doubled nt : {report.final_norm_refined:.4e}")
 print(f"  duality residual of the run     : {report.duality_residual:.3e}")

@@ -85,17 +85,6 @@ class SweepResult:
     rows: list[tuple[float, float, int, float, float, float]]
     max_ratio: dict[tuple[float, float], float]
 
-    def write_csv(self, path, header_lines: list[str] | None = None) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            fh.write("lambda,R,sample_id,lhs,rhs,ratio\n")
-            for lam, R, sid, lhs, rhs, ratio in self.rows:
-                fh.write(
-                    f"{lam:.17g},{R:.17g},{sid},"
-                    f"{lhs:.17g},{rhs:.17g},{ratio:.17g}\n"
-                )
-
 
 def eval_weights(
     params: CarlemanParams, mesh: BulkSurfaceMesh, times: np.ndarray

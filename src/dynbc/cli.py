@@ -482,7 +482,7 @@ def _run_control(sys_, mesh, config, out, manifest) -> None:
 
     scaling_rows = []
     for idx, (eps, problem, result) in enumerate(zip(eps_list, problems, results)):
-        report = verify_null(sys_, problem, result)
+        report = verify_null(problem, result)
         _write_series(
             _record(manifest, out, f"control_{idx}.csv"),
             result.g_times,

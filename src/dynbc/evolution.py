@@ -23,6 +23,10 @@ resulting discrete duality identity
 
 holds to roundoff.
 
+Every theta-average theta X^n + (1 - theta) X^{n+1} of consecutive levels
+is ``_theta_levels``; a node-sampled source acts at t_n + theta dt, so its
+per-step sample is the same rule with weight 1 - theta.
+
 Boundary signals may be sampled at the time nodes (nt + 1 rows; the scheme
 uses the theta-average of the endpoint samples of each step) or directly at
 the per-step theta-levels (nt rows; used as given).  The second layout is
@@ -70,9 +74,9 @@ class Trajectory:
     def nt(self) -> int:
         return self.times.shape[0] - 1
 
-    def theta_level(self, n: int) -> np.ndarray:
-        """Adjoint-consistent sample on step n: theta U^n + (1-theta) U^{n+1}."""
-        return self.theta * self.states[n] + (1.0 - self.theta) * self.states[n + 1]
+    def theta_levels(self) -> np.ndarray:
+        """Adjoint-consistent samples theta U^n + (1-theta) U^{n+1}, (nt, ndof)."""
+        return _theta_levels(self.states, self.theta)
 
 
 @dataclass
@@ -85,10 +89,6 @@ class BoundarySignal:
 
     values: np.ndarray
 
-    @property
-    def n_times(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class FluxPair:
@@ -97,6 +97,11 @@ class FluxPair:
     variational: np.ndarray  # (N + 1, n_boundary)
     equation: np.ndarray  # (N + 1, n_boundary)
     rel_discrepancy: float
+
+
+def _theta_levels(levels: np.ndarray, theta: float) -> np.ndarray:
+    """theta X^n + (1 - theta) X^{n+1} for each pair of consecutive levels."""
+    return theta * levels[:-1] + (1.0 - theta) * levels[1:]
 
 
 def _step_sources(
@@ -112,7 +117,7 @@ def _step_sources(
             f"got shape {vals.shape}"
         )
     if vals.shape[0] == nt + 1:
-        return (1.0 - theta) * vals[:-1] + theta * vals[1:]
+        return _theta_levels(vals, 1.0 - theta)
     if vals.shape[0] == nt:
         return vals.copy()
     raise ValueError(
@@ -228,8 +233,7 @@ class Propagator:
         kept (``backward_boundary``).
         """
         _, bound = self.backward_boundary(self._state(PhiT, "PhiT"))
-        th = self.theta
-        return th * bound[:-1] + (1.0 - th) * bound[1:]
+        return _theta_levels(bound, self.theta)
 
 
 def solve_forward(
@@ -278,13 +282,11 @@ def duality_residual(
         )
     if not np.array_equal(fwd.times, adj.times):
         raise ValueError("forward and adjoint time grids differ")
-    nt, dt = fwd.nt, fwd.dt
-    ghat = _step_sources(sys, g, nt, fwd.theta)
+    ghat = _step_sources(sys, g, fwd.nt, fwd.theta)
     boundary_sum = 0.0
     if ghat is not None:
-        for n in range(nt):
-            psi = adj.theta_level(n)
-            boundary_sum += dt * float(ghat[n] @ (sys.B.T @ psi))
+        psi_b = (sys.B.T @ adj.theta_levels().T).T
+        boundary_sum = fwd.dt * float(np.sum(ghat * psi_b))
     lhs = inner_X2(sys, fwd.states[-1], adj.states[-1]) - inner_X2(
         sys, fwd.states[0], adj.states[0]
     )

@@ -220,20 +220,6 @@ def test_sweep_rejects_zero_samples():
         carleman_sweep(s, grid, 16, 0.5, 0, seed=1)
 
 
-def test_sweep_csv_round_trip(tmp_path):
-    mesh = build_interval_mesh(0, 1, 8)
-    s = assemble(mesh, 1.0, 0.0, 1.0)
-    eta = build_eta(mesh)
-    grid = [CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)]
-    sw = carleman_sweep(s, grid, 16, 0.5, 2, seed=5)
-    path = tmp_path / "sweep.csv"
-    sw.write_csv(path, header_lines=["config_hash=abc"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# config_hash=abc"
-    assert lines[1] == "lambda,R,sample_id,lhs,rhs,ratio"
-    assert len(lines) == 2 + len(sw.rows)
-
-
 def test_weight_bounds_report():
     mesh = build_interval_mesh(0, 1, 32)
     eta = build_eta(mesh)

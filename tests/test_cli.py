@@ -152,6 +152,11 @@ def test_carleman_task_is_deterministic(tmp_path):
     assert (first / "carleman_sweep.csv").read_bytes() == (
         second / "carleman_sweep.csv"
     ).read_bytes()
+    config_hash = json.loads((first / "manifest.json").read_text())["config_hash"]
+    lines = (first / "carleman_sweep.csv").read_text().splitlines()
+    assert lines[0] == f"# config_hash={config_hash}"
+    assert lines[1] == "lambda,R,sample_id,lhs,rhs,ratio"
+    assert len(lines) == 2 + 2 * 3  # one row per (lambda, R) cell and sample
     summary = json.loads((first / "carleman_summary.json").read_text())
     assert len(summary["max_ratio"]) == 2
     assert summary["lambda_floor_unbounded_nodes"] == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,7 +126,7 @@ def test_verify_null_report(theta):
         sys=s, U0=U0, T=1.0, nt=64, theta=theta, eps=1e-5, cg_tol=1e-9
     )
     res = synthesize_control(prob)
-    rep = verify_null(s, prob, res)
+    rep = verify_null(prob, res)
     assert rep.duality_residual <= 1e-10 * max(1.0, norm_X2(s, U0) ** 2)
     assert rep.optimality_residual <= 10 * prob.cg_tol * rep.optimality_scale
     assert rep.final_norm_refined <= 2 * rep.final_norm
@@ -135,11 +137,28 @@ def test_verify_null_zero_case():
     s = interval_sys()
     prob = ControlProblem(sys=s, U0=np.zeros(s.ndof), T=1.0, nt=16, eps=1e-4)
     res = synthesize_control(prob)
-    rep = verify_null(s, prob, res)
+    rep = verify_null(prob, res)
     assert rep.final_norm == 0.0
     assert rep.final_norm_refined == 0.0
     assert rep.duality_residual == 0.0
     assert rep.optimality_residual == 0.0
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("field", ["phi_0", "final_state"])
+def test_verify_null_flags_a_perturbed_adjoint_or_final_state(theta, field):
+    s = interval_sys(n=16)
+    U0 = ground_mode(s)
+    prob = ControlProblem(
+        sys=s, U0=U0, T=1.0, nt=64, theta=theta, eps=1e-5, cg_tol=1e-9
+    )
+    res = synthesize_control(prob)
+    bad = dataclasses.replace(res, **{field: getattr(res, field) * (1.0 + 1e-6)})
+    rep = verify_null(prob, bad)
+    # the bounds test_verify_null_report accepts
+    assert rep.duality_residual > 1e-10 * max(1.0, norm_X2(s, U0) ** 2)
+    if field == "phi_0":
+        assert rep.optimality_residual > 10 * prob.cg_tol * rep.optimality_scale
 
 
 def test_penalized_cost_recorded():
@@ -280,6 +299,21 @@ def test_ladder_rungs_match_their_single_solves(ladder_case):
         assert abs(rung.iterations - alone.iterations) <= 1
         gap = norm_X2(s, rung.phi_T - alone.phi_T) / norm_X2(s, alone.phi_T)
         assert gap <= 100 * problem.cg_tol
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("eps_list", [LADDER, (1e-4,)], ids=["ladder", "single"])
+def test_phi_0_and_control_come_from_the_backward_solve_of_phi_T(
+    ladder_case, theta, eps_list
+):
+    s = ladder_case[0]
+    problems = ladder_problems(ladder_case, eps_list, theta=theta)
+    for problem, result in zip(problems, synthesize_ladder(problems)):
+        assert result.iterations > 0
+        adj = Propagator(s, problem.T, problem.nt, theta).backward(result.phi_T)
+        assert result.phi_0.tobytes() == adj.states[0].tobytes()
+        trace = adj.theta_levels()[:, s.boundary_nodes]
+        assert (-result.g.values).tobytes() == trace.tobytes()
 
 
 def test_ladder_applies_gramian_once_per_seed_iteration(ladder_case, monkeypatch):

@@ -429,8 +429,8 @@ def test_one_factorization_per_time_grid(splu_count):
     assert result.iterations > 1
     assert len(splu_count) == 1
     splu_count.clear()
-    verify_null(s, problem, result)  # grids nt and 2 nt
-    assert len(splu_count) == 2
+    verify_null(problem, result)  # refined grid 2 nt only
+    assert len(splu_count) == 1
     splu_count.clear()
     estimate_CT(s, 1.0, 16, 5, seed=2)
     assert len(splu_count) == 1

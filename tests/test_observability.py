@@ -144,6 +144,14 @@ def test_energy_identity_zero():
     assert check_energy_identity(s, adj) == 0.0
 
 
+def test_energy_identity_nonfinite_step_is_not_dropped():
+    s = interval_sys(n=8)
+    v = np.random.default_rng(5).standard_normal(s.ndof)
+    adj = solve_backward(s, v, 1.0, 16, 0.5)
+    adj.states[5, 3] = np.nan
+    assert np.isnan(check_energy_identity(s, adj))
+
+
 def test_energy_identity_crank_nicolson_exact():
     s = interval_sys()
     v = np.random.default_rng(5).standard_normal(s.ndof)
