@@ -57,7 +57,6 @@ from .mesh import (
     build_eta,
     build_interval_mesh,
     build_rect_mesh,
-    mesh_to_json,
     validate_mesh,
 )
 from .observability import (

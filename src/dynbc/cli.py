@@ -20,6 +20,9 @@ A config is a single JSON object:
       "output_dir": "runs/exp1"          # optional
     }
 
+Artifacts go to --out DIR if given, else to output_dir, else to the
+current directory.
+
 Task parameters:
 
     simulate:      u0 (field spec), g (signal spec)
@@ -27,6 +30,7 @@ Task parameters:
     carleman:      lambda_grid, R_grid, m, samples, seed
     observability: samples, seed
     control:       u0 (field spec), eps (number or list), cg_tol, cg_maxit
+                   (the last two optional); needs nt >= 2
 
 Field specs: {"kind": "zero"} | {"kind": "constant", "value": c}
            | {"kind": "random", "seed": s} | {"kind": "eigenmode"};
@@ -215,6 +219,8 @@ def _validate(data: dict) -> None:
         _need_int(params, "samples", "params", minimum=1)
         _need_int(params, "seed", "params", minimum=0)
     elif task == "control":
+        if data["nt"] < 2:
+            raise ConfigError("nt: must be >= 2 for task control")
         _validate_field_spec(params, "u0", allow_eigenmode=True)
         eps = _need(params, "eps", (int, float, list), "params")
         eps_list = eps if isinstance(eps, list) else [eps]
@@ -321,7 +327,7 @@ def _write_json(path, payload: dict) -> None:
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute one experiment; writes artifacts and manifest, returns exit status."""
     data = config.raw
-    out = out_dir or data.get("output_dir") or os.environ.get("DYNBC_OUT", ".")
+    out = out_dir or data.get("output_dir") or "."
     os.makedirs(out, exist_ok=True)
 
     manifest = {
@@ -468,13 +474,12 @@ def _run_control(sys_, mesh, config, out, manifest) -> None:
     p = data["params"]
     U0 = _build_field(sys_, p["u0"])
     eps_list = p["eps"] if isinstance(p["eps"], list) else [p["eps"]]
-    cg_tol = float(p.get("cg_tol", 1e-8))
-    cg_maxit = int(p.get("cg_maxit", 500))
+    solver = {key: p[key] for key in ("cg_tol", "cg_maxit") if key in p}
 
     problems = [
         ControlProblem(
             sys=sys_, U0=U0, T=data["T"], nt=data["nt"], theta=data["theta"],
-            eps=float(eps), cg_tol=cg_tol, cg_maxit=cg_maxit,
+            eps=float(eps), **solver,
         )
         for eps in eps_list
     ]

@@ -15,11 +15,12 @@ is solved by conjugate gradients in the M inner product (each operator
 application is one backward plus one forward solve, all on one factored
 Propagator).  A ladder of penalties shares Lambda and the right-hand side,
 so a ``ControlLadder`` solves every rung in one Krylov space by multi-shift
-CG: the smallest eps is the seed, whose plain CG makes the one Gramian apply
-per iteration, and every other rung tracks its residual as a scalar multiple
-zeta of the seed's and stops at the first iteration where that residual is
-within cg_tol of ||b||_M.  Only the seed rung is bit for bit the CG of its
-eps alone; the others agree with theirs to the CG tolerance.
+CG: the smallest eps is the seed, whose search direction gets the one
+Gramian apply per iteration, and every rung, the seed included, follows one
+rule: it tracks its residual as a scalar multiple zeta of the seed's and
+stops at the first iteration where that residual is within cg_tol of
+||b||_M.  The seed's zeta stays exactly 1, so its rung is bit for bit the
+plain CG of its eps alone; the others agree with theirs to the CG tolerance.
 ``synthesize_ladder`` runs ``synthesize_control`` on every rung of one
 ladder; the first call makes the shared solve.
 
@@ -89,6 +90,8 @@ class ControlProblem:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if self.nt < 2:
             raise ValueError(f"need nt >= 2, got {self.nt}")
+        if self.cg_maxit < 1:
+            raise ValueError(f"cg_maxit must be >= 1, got {self.cg_maxit}")
 
 
 @dataclass
@@ -136,19 +139,20 @@ def gramian_apply(prop: Propagator, PhiT: np.ndarray) -> np.ndarray:
     and positive semidefinite in the M inner product: <Lambda Phi, Phi>_M
     equals the squared boundary-cylinder norm of the adjoint trace.
     """
-    trace = prop.backward_trace(PhiT)
+    _, bound = prop.backward_boundary(PhiT)
+    trace = _theta_levels(bound, prop.theta)
     return prop.forward_final(np.zeros(prop.sys.ndof), BoundarySignal(trace))
 
 
-@dataclass
-class _ShiftedRung:
-    """Iterate of one non-seed shift, carried by the seed's Krylov space.
+@dataclass(eq=False)  # identity equality: rungs with equal shifts stay distinct
+class _Rung:
+    """Iterate of one shift, carried by the seed's Krylov space.
 
     Its residual is zeta times the seed's residual; zeta_old is the value one
     iteration earlier.
     """
 
-    offset: float  # shift minus the seed's shift, > 0
+    offset: float  # shift minus the seed's shift, >= 0
     x: np.ndarray
     p: np.ndarray
     zeta: float = 1.0
@@ -162,53 +166,41 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
 
     Solves (A + s I) x_s = b for every s in shifts, where A = apply_op is
     M-self-adjoint and A + s I is SPD, in one Krylov space (Jegerlehner,
-    arXiv:hep-lat/9612014).  The seed is the smallest shift: it runs plain
-    CG, q = A p + s_min p, one apply of A per iteration, and stops when
-    ||r||_M <= tol ||b||_M.  Every other shift follows the zeta recurrence,
-    r_s = zeta_s r, with no further applies, and freezes its iterate at the
-    first iteration where |zeta_s| ||r||_M <= tol ||b||_M.
+    arXiv:hep-lat/9612014).  The seed is the smallest shift: its search
+    direction gets the one apply of A per iteration, q = A p + s_min p.
+    Every shift, the seed included, is a rung with one rule: its residual is
+    r_s = zeta_s r, its iterate moves along its own direction, and it freezes
+    at the first iteration where |zeta_s| ||r||_M <= tol ||b||_M.  For the
+    seed the offset is 0 and zeta_old = zeta = 1, so the zeta denominator is
+    exactly alpha_old, zeta stays exactly 1.0, and the rung's updates are
+    plain CG's bit for bit.
 
     Returns one (x, iterations, converged) per entry of shifts, in order,
-    each with its own x; entries equal to the smallest shift get copies of
-    the seed's result.  A seed
-    curvature <p, q>_M that is not positive and finite means the operator
-    is not SPD on the Krylov space: every rung still iterating stops there
-    with converged=False and its last iterate.  A zeta denominator that is
-    zero or not finite stops that rung alone the same way.
+    each with its own x (a repeated shift is its own rung, with the same
+    bits).  The solve ends when the seed's rung freezes; rungs still
+    iterating then stop unconverged.  So does a seed curvature <p, q>_M that
+    is not positive and finite (the operator is not SPD on the Krylov
+    space), at the last iterate; a zeta denominator that is zero or not
+    finite stops its rung alone the same way.
     """
-    seed = min(shifts)
-    x = np.zeros_like(b)
     r = b.copy()
     rho = inner_X2(sys, r, r)
     bnorm = np.sqrt(rho)
     if bnorm == 0.0:
         return [(np.zeros_like(b), 0, True) for _ in shifts]
-    rungs = [
-        None if s == seed else _ShiftedRung(s - seed, np.zeros_like(b), b.copy())
-        for s in shifts
-    ]
-    active = [rung for rung in rungs if rung is not None]
-    p = r.copy()
+    s_min = min(shifts)
+    rungs = [_Rung(s - s_min, np.zeros_like(b), b.copy()) for s in shifts]
+    seed = rungs[shifts.index(s_min)]
+    active = list(rungs)
     alpha_old, beta_old = 1.0, 0.0
-
-    def stop(iterations, converged):
-        for rung in active:
-            rung.iterations = iterations
-        first_seed = shifts.index(seed)
-        return [
-            (x if i == first_seed else x.copy(), iterations, converged)
-            if rung is None
-            else (rung.x, rung.iterations, rung.converged)
-            for i, rung in enumerate(rungs)
-        ]
-
+    stopped_at = maxit
     for k in range(1, maxit + 1):
-        q = apply_op(p) + seed * p
-        curvature = inner_X2(sys, p, q)
+        q = apply_op(seed.p) + s_min * seed.p
+        curvature = inner_X2(sys, seed.p, q)
         if not (np.isfinite(curvature) and curvature > 0.0):
-            return stop(k - 1, False)
+            stopped_at = k - 1
+            break
         alpha = rho / curvature
-        x += alpha * p
         r -= alpha * q
         rho_new = inner_X2(sys, r, r)
         rnorm = np.sqrt(rho_new)
@@ -231,12 +223,14 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
                 continue
             rung.p = zeta * r + ((zeta / rung.zeta) ** 2 * beta) * rung.p
             rung.zeta_old, rung.zeta = rung.zeta, zeta
-        if rnorm <= tol * bnorm:
-            return stop(k, True)
-        p = r + beta * p
+        if seed not in active:
+            stopped_at = k
+            break
         rho = rho_new
         alpha_old, beta_old = alpha, beta
-    return stop(maxit, False)
+    for rung in active:
+        rung.iterations = stopped_at
+    return [(rung.x, rung.iterations, rung.converged) for rung in rungs]
 
 
 class ControlLadder:

@@ -10,7 +10,8 @@ factorization for one uniform time grid, so every solve on the grid shares
 one ``splu``; ``solve_forward`` and ``solve_backward`` build a Propagator
 per call.  ``Propagator.backward_boundary`` steps many final data at once
 as the columns of one block, one multi-column solve per step, and keeps
-only the boundary rows of each level; ``backward_trace`` is built on it.
+only the boundary rows of each level; the Gramian, the control synthesis
+and the observability estimate read the adjoint through it.
 
 Since M and K are symmetric, the one-step propagator
 S = (M + theta dt K)^{-1} (M - (1-theta) dt K) is self-adjoint in the M
@@ -224,16 +225,6 @@ class Propagator:
             cur = self.lu.solve(self.C @ cur)
             bound[n] = cur[bnodes]
         return cur, bound
-
-    def backward_trace(self, PhiT: np.ndarray) -> np.ndarray:
-        """Boundary trace of the theta-level samples of ``backward(PhiT)``.
-
-        Row n is theta Phi^n + (1 - theta) Phi^{n+1} on the boundary nodes,
-        shape (nt, n_boundary); only the boundary rows of each level are
-        kept (``backward_boundary``).
-        """
-        _, bound = self.backward_boundary(self._state(PhiT, "PhiT"))
-        return _theta_levels(bound, self.theta)
 
 
 def solve_forward(

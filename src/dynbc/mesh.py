@@ -10,7 +10,6 @@ rectangle corners.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "build_rect_mesh",
     "build_disk_mesh",
     "build_eta",
-    "mesh_to_json",
     "validate_mesh",
 ]
 
@@ -299,19 +297,6 @@ def validate_mesh(mesh: BulkSurfaceMesh) -> None:
         stored = np.unique(np.sort(mesh.boundary_edges, axis=1), axis=0)
         assert np.array_equal(complex_boundary, stored)
         assert set(np.unique(mesh.boundary_edges).tolist()) == set(nb.tolist())
-
-
-def mesh_to_json(mesh: BulkSurfaceMesh) -> str:
-    """Serialize the geometric content as JSON."""
-    payload = {
-        "dim": mesh.dim,
-        "nodes": mesh.bulk_nodes.tolist(),
-        "cells": mesh.bulk_cells.tolist(),
-        "boundary_nodes": mesh.boundary_nodes.tolist(),
-        "boundary_edges": mesh.boundary_edges.tolist(),
-        "normals": mesh.outward_normals.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 def _orient_ccw(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:

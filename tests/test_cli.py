@@ -79,6 +79,18 @@ def test_malformed_geometry_exit_2(tmp_path, capsys):
     assert "geometry.n" in err
 
 
+def test_control_nt_1_exit_2(tmp_path, capsys):
+    cfg = base_config(task="control", nt=1)
+    cfg["params"] = {"u0": {"kind": "eigenmode"}, "eps": 1e-4}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: nt:")
+    assert not out.exists()
+
+
 def test_missing_field_named(tmp_path, capsys):
     cfg = base_config()
     del cfg["gamma"]
@@ -203,12 +215,18 @@ def test_config_hash_in_all_artifacts(tmp_path):
         assert digest in content
 
 
-def test_env_var_default_output_dir(tmp_path, monkeypatch):
-    out = tmp_path / "envout"
-    monkeypatch.setenv("DYNBC_OUT", str(out))
-    path = write_config(tmp_path, base_config())
+def test_output_dir_precedence(tmp_path, monkeypatch):
+    # --out, else the config's output_dir, else the working directory
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, base_config(output_dir="from_config"))
+    assert main(["run", path, "--out", "from_flag"]) == 0
+    assert (tmp_path / "from_flag" / "manifest.json").exists()
+    assert not (tmp_path / "from_config").exists()
     assert main(["run", path]) == 0
-    assert (out / "manifest.json").exists()
+    assert (tmp_path / "from_config" / "manifest.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+    assert main(["run", write_config(tmp_path, base_config(), "plain.json")]) == 0
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_profile_beta(tmp_path):

@@ -42,6 +42,13 @@ def test_problem_validation():
         ControlProblem(sys=s, U0=U0, T=1.0, nt=1)
 
 
+def test_problem_rejects_nonpositive_cg_maxit():
+    s = interval_sys()
+    for maxit in (0, -1):
+        with pytest.raises(ValueError, match="cg_maxit"):
+            ControlProblem(sys=s, U0=np.zeros(s.ndof), T=1.0, nt=8, cg_maxit=maxit)
+
+
 def test_gramian_zero():
     s = interval_sys()
     out = gramian_apply(Propagator(s, 1.0, 16, 0.5), np.zeros(s.ndof))
@@ -410,3 +417,133 @@ def test_zero_initial_state_gives_zero_control_on_every_rung():
         assert (res.iterations, res.converged, res.final_norm) == (0, True, 0.0)
         np.testing.assert_array_equal(res.g.values, 0.0)
     assert results[0].final_state is not results[1].final_state
+
+
+@dataclasses.dataclass
+class _ShiftedRung:
+    """Iterate of one non-seed shift, carried by the seed's Krylov space.
+
+    Its residual is zeta times the seed's residual; zeta_old is the value one
+    iteration earlier.
+    """
+
+    offset: float  # shift minus the seed's shift, > 0
+    x: np.ndarray
+    p: np.ndarray
+    zeta: float = 1.0
+    zeta_old: float = 1.0
+    iterations: int = 0
+    converged: bool = False
+
+
+def _two_rule_cg_in_M(sys, apply_op, b, shifts, tol, maxit):
+    """The multi-shift CG with a plain-CG seed and a zeta rule for the other
+    shifts, which the one-rule solver replaced; its code is kept verbatim."""
+    seed = min(shifts)
+    x = np.zeros_like(b)
+    r = b.copy()
+    rho = inner_X2(sys, r, r)
+    bnorm = np.sqrt(rho)
+    if bnorm == 0.0:
+        return [(np.zeros_like(b), 0, True) for _ in shifts]
+    rungs = [
+        None if s == seed else _ShiftedRung(s - seed, np.zeros_like(b), b.copy())
+        for s in shifts
+    ]
+    active = [rung for rung in rungs if rung is not None]
+    p = r.copy()
+    alpha_old, beta_old = 1.0, 0.0
+
+    def stop(iterations, converged):
+        for rung in active:
+            rung.iterations = iterations
+        first_seed = shifts.index(seed)
+        return [
+            (x if i == first_seed else x.copy(), iterations, converged)
+            if rung is None
+            else (rung.x, rung.iterations, rung.converged)
+            for i, rung in enumerate(rungs)
+        ]
+
+    for k in range(1, maxit + 1):
+        q = apply_op(p) + seed * p
+        curvature = inner_X2(sys, p, q)
+        if not (np.isfinite(curvature) and curvature > 0.0):
+            return stop(k - 1, False)
+        alpha = rho / curvature
+        x += alpha * p
+        r -= alpha * q
+        rho_new = inner_X2(sys, r, r)
+        rnorm = np.sqrt(rho_new)
+        beta = rho_new / rho
+        for rung in list(active):
+            # 1 / zeta is the seed's residual polynomial at -offset; this is
+            # its three-term recurrence, positive for an SPD seed
+            den = alpha_old * rung.zeta_old * (1.0 + alpha * rung.offset) + (
+                alpha * beta_old * (rung.zeta_old - rung.zeta)
+            )
+            if not (np.isfinite(den) and den != 0.0):
+                rung.iterations = k - 1
+                active.remove(rung)
+                continue
+            zeta = rung.zeta * rung.zeta_old * alpha_old / den
+            rung.x += (alpha * zeta / rung.zeta) * rung.p
+            if abs(zeta) * rnorm <= tol * bnorm:
+                rung.iterations, rung.converged = k, True
+                active.remove(rung)
+                continue
+            rung.p = zeta * r + ((zeta / rung.zeta) ** 2 * beta) * rung.p
+            rung.zeta_old, rung.zeta = rung.zeta, zeta
+        if rnorm <= tol * bnorm:
+            return stop(k, True)
+        p = r + beta * p
+        rho = rho_new
+        alpha_old, beta_old = alpha, beta
+    return stop(maxit, False)
+
+
+def assert_same_rungs(got, want):
+    assert len(got) == len(want)
+    for (x, iterations, converged), (want_x, want_its, want_conv) in zip(got, want):
+        assert (iterations, converged) == (want_its, want_conv)
+        assert x.tobytes() == want_x.tobytes()
+
+
+@pytest.mark.parametrize("maxit", [3, 500])
+@pytest.mark.parametrize(
+    "shifts",
+    [[1e-2, 1e-4, 1e-6], [1e-4, 1e-6, 1e-2, 1e-4], [1e-4]],
+    ids=["ladder", "unsorted-repeated", "single"],
+)
+def test_one_rule_cg_bitwise_equals_two_rule_oracle(ladder_case, shifts, maxit):
+    s, U0, nt = ladder_case
+    prop = Propagator(s, 1.0, nt, 0.5)
+    b = prop.forward_final(U0, None)
+
+    def gram(v):
+        return gramian_apply(prop, v)
+
+    got = _cg_in_M(s, gram, b, shifts, 1e-8, maxit)
+    assert_same_rungs(got, _two_rule_cg_in_M(s, gram, b, shifts, 1e-8, maxit))
+
+
+BREAKDOWN_OPERATORS = {
+    "indefinite": lambda v: np.where(np.arange(v.size) % 2 == 0, 1.0, -1.0) * v,
+    "negative": lambda v: -v,
+    "nan": lambda v: np.full_like(v, np.nan),
+    "half": lambda v: 0.5 * v,
+}
+
+
+@pytest.mark.parametrize("maxit", [3, 50])
+@pytest.mark.parametrize("op", sorted(BREAKDOWN_OPERATORS))
+def test_one_rule_cg_bitwise_equals_two_rule_oracle_on_breakdown(op, maxit):
+    s = interval_sys()
+    b = np.random.default_rng(1).standard_normal(s.ndof)
+    huge = np.finfo(float).max
+    apply_op = BREAKDOWN_OPERATORS[op]
+    for shifts in ([0.0], [0.0, huge], [huge, 1.0, 0.0, 0.0]):
+        with np.errstate(over="ignore"):
+            got = _cg_in_M(s, apply_op, b, shifts, 1e-10, maxit)
+            want = _two_rule_cg_in_M(s, apply_op, b, shifts, 1e-10, maxit)
+        assert_same_rungs(got, want)

@@ -355,7 +355,8 @@ def test_propagator_bitwise_equals_loop_oracle(name, theta):
     assert adj.states.tobytes() == want.tobytes()
     assert solve_backward(s, PhiT, T, nt, theta).states.tobytes() == want.tobytes()
     levels = theta * adj.states[:-1] + (1.0 - theta) * adj.states[1:]
-    trace = prop.backward_trace(PhiT)
+    _, bound = prop.backward_boundary(PhiT)
+    trace = evolution._theta_levels(bound, theta)
     assert trace.tobytes() == levels[:, s.boundary_nodes].tobytes()
 
 
@@ -396,14 +397,12 @@ def test_propagator_validation():
     for method in (prop.forward, prop.forward_final):
         with pytest.raises(ValueError):
             method(np.zeros(s.ndof - 1), None)
-    for method in (prop.backward, prop.backward_trace, prop.backward_boundary):
+    for method in (prop.backward, prop.backward_boundary):
         with pytest.raises(ValueError):
             method(np.zeros(s.ndof + 1))
     for shape in ((s.ndof + 1, 2), (s.ndof, 0), (s.ndof, 2, 1), ()):
         with pytest.raises(ValueError):
             prop.backward_boundary(np.zeros(shape))
-    with pytest.raises(ValueError):
-        prop.backward_trace(np.zeros((s.ndof, 2)))
 
 
 @pytest.fixture

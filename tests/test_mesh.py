@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from dynbc import (
     build_eta,
     build_interval_mesh,
     build_rect_mesh,
-    mesh_to_json,
     validate_mesh,
 )
 
@@ -155,16 +153,6 @@ def test_eta_gradient_vanishes_only_at_center():
     etad = build_eta(md)
     gnd = np.linalg.norm(etad.gradient, axis=1)
     assert np.sum(gnd == 0) == 1 and gnd[0] == 0
-
-
-def test_mesh_json_export():
-    m = build_rect_mesh(1, 1, 2, 2)
-    payload = json.loads(mesh_to_json(m))
-    assert payload["dim"] == 2
-    assert len(payload["nodes"]) == m.n_nodes
-    assert len(payload["cells"]) == m.bulk_cells.shape[0]
-    assert payload["boundary_nodes"] == m.boundary_nodes.tolist()
-    assert len(payload["normals"]) == m.n_boundary
 
 
 def _loop_rect_arrays(lx, ly, nx, ny):
