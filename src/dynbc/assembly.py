@@ -36,6 +36,9 @@ __all__ = [
     "smallest_eigenpair",
 ]
 
+_EIGEN_TOL = 1e-10
+_EIGEN_MAXIT = 10_000
+
 
 class ConvergenceError(RuntimeError):
     """An iterative eigenvalue solve failed to reach its tolerance."""
@@ -173,17 +176,13 @@ def _unit_normal_draws(
     return draws
 
 
-def smallest_eigenpair(
-    sys: DiscreteSystem,
-    tol: float = 1e-10,
-    maxit: int = 10_000,
-) -> tuple[float, np.ndarray]:
+def smallest_eigenpair(sys: DiscreteSystem) -> tuple[float, np.ndarray]:
     """Smallest generalized eigenvalue of (K, M) by inverse power iteration.
 
     Requires K positive definite (beta bounded below by a positive
     constant).  Returns (c, x) with K x = c M x and x of unit M-norm.
-    Raises ConvergenceError after ``maxit`` iterations without the relative
-    eigenvalue change dropping below ``tol``.
+    Raises ConvergenceError after ``_EIGEN_MAXIT`` iterations without the
+    relative eigenvalue change dropping below ``_EIGEN_TOL``.
     """
     if sys.beta0 <= 0:
         raise ValueError(
@@ -194,7 +193,7 @@ def smallest_eigenpair(
     x = rng.standard_normal(sys.ndof)
     x /= norm_X2(sys, x)
     lam_old = np.inf
-    for _ in range(maxit):
+    for _ in range(_EIGEN_MAXIT):
         y = lu.solve(sys.M_diag * x)
         y /= norm_X2(sys, y)
         lam = float(y @ (sys.K @ y))  # Rayleigh quotient; y has unit M-norm
@@ -202,19 +201,19 @@ def smallest_eigenpair(
         # eigenvalue settles quadratically, the vector only linearly; demand both
         resid = np.linalg.norm(sys.K @ x - lam * (sys.M_diag * x))
         if (
-            abs(lam - lam_old) <= tol * max(1.0, abs(lam))
-            and resid <= np.sqrt(tol) * max(1.0, abs(lam))
+            abs(lam - lam_old) <= _EIGEN_TOL * max(1.0, abs(lam))
+            and resid <= np.sqrt(_EIGEN_TOL) * max(1.0, abs(lam))
         ):
             return lam, x
         lam_old = lam
     raise ConvergenceError(
-        f"inverse power iteration did not converge in {maxit} iterations"
+        f"inverse power iteration did not converge in {_EIGEN_MAXIT} iterations"
     )
 
 
-def estimate_coercivity(sys: DiscreteSystem, tol: float = 1e-10) -> float:
+def estimate_coercivity(sys: DiscreteSystem) -> float:
     """Best constant c with x^T K x >= c x^T M x for all x."""
-    c, _ = smallest_eigenpair(sys, tol=tol)
+    c, _ = smallest_eigenpair(sys)
     return c
 
 

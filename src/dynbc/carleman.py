@@ -227,34 +227,37 @@ def carleman_sweep(
 ) -> SweepResult:
     """Evaluate both sides over a (lambda, R) grid and seeded random final data.
 
-    Each sample is a standard normal final datum normalized to unit M-norm
-    (the zero draw is rejected).  Per horizon one Propagator is factored;
-    each sample's backward trajectory and its nodal |grad phi|^2 serve every
-    grid cell of that horizon and are dropped before the next sample; the
-    weights are evaluated once per (sample, cell) and serve both sides.  Rows
-    are emitted in grid order, so a fixed seed reproduces the table bit for
-    bit.
+    Rows and max ratios are keyed by (lambda, R), so the cells must share one
+    horizon T and not repeat a (lambda, R) pair (ValueError otherwise).
+    Each sample is a standard normal final datum of unit M-norm (the zero
+    draw is rejected).  Its backward trajectory on the one Propagator and its
+    nodal |grad phi|^2 serve every cell and are dropped before the next
+    sample; the weights are evaluated once per (sample, cell) and serve both
+    sides.  Rows are in grid order: a fixed seed gives the same table bits.
     """
     params_list = list(params_grid)
+    horizons = {params.T for params in params_list}
+    if len(horizons) != 1:
+        raise ValueError(f"need grid cells on one horizon T, got {sorted(horizons)}")
+    keys = [(params.lam, params.R) for params in params_list]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"grid repeats a (lambda, R) cell: {keys}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     data = _unit_normal_draws(sys, np.random.default_rng(seed), samples)
 
+    prop = Propagator(sys, params_list[0].T, nt, theta)
     sides: list[list[tuple[float, float]]] = [[] for _ in params_list]
-    for T in dict.fromkeys(params.T for params in params_list):
-        cells = [i for i, params in enumerate(params_list) if params.T == T]
-        prop = Propagator(sys, T, nt, theta)
-        for v in data:
-            adj = prop.backward(v)
-            grad_sq = _nodal_grad_sq(sys, adj.states[1:-1])
-            for i in cells:
-                params = params_list[i]
-                w = _interior_weights(params, sys, adj)
-                lhs = carleman_lhs(sys, adj, params, grad_sq=grad_sq, weights=w)
-                rhs = carleman_rhs(sys, adj, params, path="equation", weights=w)
-                sides[i].append((lhs, rhs))
-                del w
-            del adj, grad_sq
+    for v in data:
+        adj = prop.backward(v)
+        grad_sq = _nodal_grad_sq(sys, adj.states[1:-1])
+        for params, cell in zip(params_list, sides):
+            w = _interior_weights(params, sys, adj)
+            lhs = carleman_lhs(sys, adj, params, grad_sq=grad_sq, weights=w)
+            rhs = carleman_rhs(sys, adj, params, path="equation", weights=w)
+            cell.append((lhs, rhs))
+            del w
+        del adj, grad_sq
 
     rows = []
     max_ratio: dict[tuple[float, float], float] = {}

@@ -210,6 +210,8 @@ def _validate(data: dict) -> None:
                 isinstance(v, (int, float)) and v > 0 for v in vals
             ):
                 raise ConfigError(f"params.{grid}: must be a list of positive numbers")
+            if len(set(vals)) < len(vals):
+                raise ConfigError(f"params.{grid}: must not repeat a value")
         m = _need_num(params, "m", "params")
         if not m > 1:
             raise ConfigError("params.m: must exceed 1")

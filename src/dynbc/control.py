@@ -177,11 +177,13 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
 
     Returns one (x, iterations, converged) per entry of shifts, in order,
     each with its own x (a repeated shift is its own rung, with the same
-    bits).  The solve ends when the seed's rung freezes; rungs still
-    iterating then stop unconverged.  So does a seed curvature <p, q>_M that
-    is not positive and finite (the operator is not SPD on the Krylov
-    space), at the last iterate; a zeta denominator that is zero or not
-    finite stops its rung alone the same way.
+    bits).  The solve ends when the seed's rung freezes.  With every seed
+    curvature <p, q>_M positive the Lanczos matrix is SPD, its Ritz values
+    positive, so 0 < zeta < 1 for every positive offset and a larger shift
+    freezes no later than the seed.  Rungs still iterating stop unconverged
+    only at maxit or at a seed curvature that is not positive and finite
+    (not SPD on the Krylov space), at the last iterate; a zeta denominator
+    that is zero or not finite stops its rung alone the same way.
     """
     r = b.copy()
     rho = inner_X2(sys, r, r)

@@ -8,16 +8,17 @@ with theta = 0.5 (Crank-Nicolson) or 1 (implicit Euler) and the linear
 solves done by a sparse LU factorization.  A ``Propagator`` holds that
 factorization for one uniform time grid, so every solve on the grid shares
 one ``splu``; ``solve_forward`` and ``solve_backward`` build a Propagator
-per call.  ``Propagator.backward_boundary`` steps many final data at once
-as the columns of one block, one multi-column solve per step, and keeps
-only the boundary rows of each level; the Gramian, the control synthesis
-and the observability estimate read the adjoint through it.
+per call.  Every solve runs one stepping loop, ``Propagator._march``.
+``Propagator.backward_boundary`` steps many final data at once as the
+columns of one block, one multi-column solve per step, and keeps only the
+boundary rows of each level; the Gramian, the control synthesis and the
+observability estimate read the adjoint through it.
 
 Since M and K are symmetric, the one-step propagator
 S = (M + theta dt K)^{-1} (M - (1-theta) dt K) is self-adjoint in the M
-inner product, so the backward solve is the same recursion run on the
-reversed time index and is the exact transpose of the forward step.  The
-resulting discrete duality identity
+inner product, so the backward solve is the unforced march run on the
+reversed time index (the kept levels reversed) and is the exact transpose
+of the forward step.  The resulting discrete duality identity
 
     <U^N, Phi^N>_M - <U^0, Phi^0>_M = sum_n dt g_hat^n . B^T Psi^n,
     Psi^n = theta Phi^n + (1 - theta) Phi^{n+1},
@@ -162,29 +163,36 @@ class Propagator:
         times = np.linspace(0.0, self.T, self.nt + 1)
         return Trajectory(times=times, states=states, theta=self.theta, dt=self.dt)
 
-    def _step(self, cur: np.ndarray, ghat, n: int) -> np.ndarray:
-        """One forward step from cur, driven by ghat[n] when there is a source."""
-        rhs = self.C @ cur
-        if ghat is not None:
-            rhs = rhs + self.dt * (self.sys.B @ ghat[n])
-        return self.lu.solve(rhs)
+    def _march(self, X: np.ndarray, ghat, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(last, kept): X after nt steps, and kept[n] = rows of level n.
+
+        X is one state (ndof,) or a block (ndof, k) stepped as one: per step
+        one product with C, plus dt B ghat[n] when there is a source, and one
+        solve.  rows is slice(None) for a trajectory, the boundary nodes for
+        a trace, slice(0) for nothing; kept is in stepping order.
+        """
+        # SuperLU solves column by column, so hand it columns contiguous
+        cur = np.asfortranarray(X)
+        kept = np.empty((self.nt + 1,) + cur[rows].shape)
+        kept[0] = cur[rows]
+        for n in range(self.nt):
+            rhs = self.C @ cur
+            if ghat is not None:
+                rhs = rhs + self.dt * (self.sys.B @ ghat[n])
+            cur = self.lu.solve(rhs)
+            kept[n + 1] = cur[rows]
+        return cur, kept
 
     def forward(self, U0: np.ndarray, g) -> Trajectory:
         """Integrate the controlled system from U0 over [0, T]."""
-        states = np.empty((self.nt + 1, self.sys.ndof))
-        states[0] = self._state(U0, "U0")
         ghat = _step_sources(self.sys, g, self.nt, self.theta)
-        for n in range(self.nt):
-            states[n + 1] = self._step(states[n], ghat, n)
+        _, states = self._march(self._state(U0, "U0"), ghat, slice(None))
         return self._trajectory(states)
 
     def forward_final(self, U0: np.ndarray, g) -> np.ndarray:
         """The state at T of ``forward(U0, g)``, storing no trajectory."""
-        cur = self._state(U0, "U0")
         ghat = _step_sources(self.sys, g, self.nt, self.theta)
-        for n in range(self.nt):
-            cur = self._step(cur, ghat, n)
-        return cur
+        return self._march(self._state(U0, "U0"), ghat, slice(0))[0]
 
     def backward(self, PhiT: np.ndarray) -> Trajectory:
         """Integrate the adjoint system backward from final data PhiT.
@@ -193,22 +201,17 @@ class Propagator:
         adjoint state at t_n, states[-1] = PhiT.  The step is the transpose
         of the forward step, so the duality identity holds exactly.
         """
-        states = np.empty((self.nt + 1, self.sys.ndof))
-        states[self.nt] = self._state(PhiT, "PhiT")
-        for n in range(self.nt - 1, -1, -1):
-            states[n] = self.lu.solve(self.C @ states[n + 1])
-        return self._trajectory(states)
+        _, levels = self._march(self._state(PhiT, "PhiT"), None, slice(None))
+        return self._trajectory(np.ascontiguousarray(levels[::-1]))
 
     def backward_boundary(self, PhiT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Phi(0) and the boundary rows of every level of ``backward(PhiT)``.
 
         PhiT is one final datum, shape (ndof,), or k of them as the columns
-        of an (ndof, k) block.  A block is stepped as one: each step makes
-        one product with C and one multi-column solve on the shared
-        factorization.  Returns (Phi0, bound): Phi0 has the shape of PhiT,
-        and bound[n] holds the boundary rows of Phi^n, so bound has shape
-        (nt + 1, n_boundary) or (nt + 1, n_boundary, k).  Only the current
-        adjoint states are kept, not the trajectory.
+        of an (ndof, k) block, stepped as one (nt multi-column solves).
+        Returns (Phi0, bound): Phi0 has the shape of PhiT, and bound[n]
+        holds the boundary rows of Phi^n, shape (n_boundary,) or
+        (n_boundary, k).  No trajectory is stored.
         """
         PhiT = np.asarray(PhiT, dtype=float)
         ndof = self.sys.ndof
@@ -216,15 +219,8 @@ class Propagator:
             raise ValueError(
                 f"PhiT must have shape ({ndof},) or ({ndof}, k), got {PhiT.shape}"
             )
-        # SuperLU solves column by column, so hand it columns contiguous
-        cur = np.asfortranarray(PhiT)
-        bnodes = self.sys.boundary_nodes
-        bound = np.empty((self.nt + 1, bnodes.size) + PhiT.shape[1:])
-        bound[self.nt] = cur[bnodes]
-        for n in range(self.nt - 1, -1, -1):
-            cur = self.lu.solve(self.C @ cur)
-            bound[n] = cur[bnodes]
-        return cur, bound
+        phi0, bound = self._march(PhiT, None, self.sys.boundary_nodes)
+        return phi0, bound[::-1]
 
 
 def solve_forward(
@@ -367,22 +363,16 @@ def recover_normal_flux(sys: DiscreteSystem, traj: Trajectory) -> FluxPair:
         raise ValueError("flux recovery needs at least 3 time levels")
     states = traj.states
     dt = traj.dt
-    nT = states.shape[0]
     bnodes = sys.boundary_nodes
 
-    dstates = np.empty_like(states)
-    dstates[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
-    dstates[0] = (states[1] - states[0]) / dt
-    dstates[-1] = (states[-1] - states[-2]) / dt
-
-    var = np.empty((nT, bnodes.size))
-    eqn = np.empty((nT, bnodes.size))
-    for n in range(nT):
-        resid = sys.gamma * (sys.K_bulk @ states[n]) - sys.m_bulk * dstates[n]
-        var[n] = resid[bnodes] / sys.m_surf
-        phi_g = states[n][bnodes]
-        lb = -(sys.K_surf @ states[n])[bnodes] / sys.m_surf
-        eqn[n] = dstates[n][bnodes] + sys.delta * lb - sys.beta * phi_g
+    dstates = np.gradient(states, dt, axis=0)
+    # node-major columns: a sparse product sums each entry as per level
+    u, du, m_surf = states.T, dstates.T, sys.m_surf[:, None]
+    resid = sys.gamma * (sys.K_bulk @ u) - sys.m_bulk[:, None] * du
+    lb = -(sys.K_surf @ u)[bnodes] / m_surf
+    eqn = du[bnodes] + sys.delta * lb - sys.beta[:, None] * u[bnodes]
+    var = np.ascontiguousarray((resid[bnodes] / m_surf).T)
+    eqn = np.ascontiguousarray(eqn.T)
 
     w = sys.m_surf
     diff = np.sqrt(np.sum((var - eqn) ** 2 * w) * dt)

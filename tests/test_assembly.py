@@ -136,6 +136,13 @@ def test_smallest_eigenpair_residual():
     assert norm_X2(s, x) == pytest.approx(1.0)
 
 
+def test_smallest_eigenpair_raises_at_iteration_cap(monkeypatch):
+    # one iteration cannot meet the test on the eigenvalue change
+    monkeypatch.setattr(assembly, "_EIGEN_MAXIT", 1)
+    with pytest.raises(assembly.ConvergenceError):
+        smallest_eigenpair(interval_sys(n=12))
+
+
 def test_injection_rows_only_at_boundary():
     mesh = build_rect_mesh(1, 1, 3, 3)
     s = assemble(mesh, gamma=1.0, delta=0.0, beta=1.0)

@@ -308,13 +308,13 @@ def test_sweep_evaluates_weights_once_per_sample_and_cell(monkeypatch):
 
 
 def test_sweep_equals_cell_major_oracle():
-    """Rows and max ratios equal a per-cell loop over per-horizon solves."""
+    """Rows and max ratios equal a per-cell loop over per-sample solves."""
     mesh = build_interval_mesh(0, 1, 8)
     s = assemble(mesh, 1.0, 0.0, 1.0)
     eta = build_eta(mesh)
     grid = [
-        CarlemanParams(lam=lam, R=2.0, m=1.5, T=T, eta=eta)
-        for T, lam in ((1.0, 1.0), (0.5, 1.0), (1.0, 2.0), (0.5, 2.0))
+        CarlemanParams(lam=lam, R=R, m=1.5, T=0.5, eta=eta)
+        for R, lam in ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (2.0, 2.0))
     ]
     samples, seed, nt = 3, 21, 16
     rng = np.random.default_rng(seed)
@@ -336,3 +336,25 @@ def test_sweep_equals_cell_major_oracle():
     sw = carleman_sweep(s, grid, nt, 0.5, samples, seed)
     assert sw.rows == rows
     assert sw.max_ratio == max_ratio
+
+
+def test_sweep_rejects_mixed_horizons():
+    # rows and max ratios are keyed by (lambda, R): a second T would collide
+    mesh = build_interval_mesh(0, 1, 8)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=1.0, R=R, m=1.5, T=T, eta=eta)
+        for T, R in ((1.0, 1.0), (0.5, 2.0))
+    ]
+    with pytest.raises(ValueError, match="horizon"):
+        carleman_sweep(s, grid, 16, 0.5, 2, seed=1)
+
+
+def test_sweep_rejects_repeated_cell():
+    mesh = build_interval_mesh(0, 1, 8)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [CarlemanParams(lam=1.0, R=2.0, m=m, T=1.0, eta=eta) for m in (1.5, 2.0)]
+    with pytest.raises(ValueError, match="repeats"):
+        carleman_sweep(s, grid, 16, 0.5, 2, seed=1)

@@ -99,6 +99,21 @@ def test_missing_field_named(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["lambda_grid", "R_grid"])
+def test_carleman_repeated_grid_value_exit_2(tmp_path, capsys, grid):
+    cfg = base_config(task="carleman")
+    cfg["params"] = {"lambda_grid": [1.0, 2.0], "R_grid": [1.0, 2.0], "m": 1.5,
+                     "samples": 2, "seed": 1}
+    cfg["params"][grid] = [1, 2, 1.0]
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: params.{grid}:")
+    assert not out.exists()
+
+
 def test_unknown_task_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(base_config(task="explode"))
