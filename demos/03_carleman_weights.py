@@ -28,8 +28,8 @@ print(f"auxiliary field: sup = {eta.sup_norm}, "
 
 params = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
 times = np.linspace(0.0, 1.0, 129)[1:-1]
-w = eval_weights(params, mesh, times)
-wb = weight_bounds(params, mesh, times)
+w = eval_weights(params, times)
+wb = weight_bounds(params, times)
 print(f"theta at T/2 = {w.theta[len(times) // 2]:.4f} (analytic minimum 4/T^2 = 4)")
 print(f"min theta*xi on the grid  = {wb['min_theta_xi']:.4f} "
       f">= analytic floor {wb['theta_xi_floor_analytic']:.4f}")
@@ -39,7 +39,7 @@ print(f"max theta xi exp(-2 R alpha) on the cylinder   = "
       f"{wb['max_theta_xi_exp']:.4e} (finite)")
 print(f"|alpha_t| <= varsigma1 theta^2 xi^2 with varsigma1 = {wb['varsigma1']:.4f}")
 
-floor = pointwise_lambda_floor(mesh, eta)
+floor = pointwise_lambda_floor(eta)
 bad = int(np.sum(~np.isfinite(floor)))
 print(f"\npointwise lambda bound 2|Lap eta|/|grad eta|^2: unbounded at {bad} node(s) "
       f"(the interior critical point), max finite value "

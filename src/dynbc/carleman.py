@@ -86,9 +86,7 @@ class SweepResult:
     max_ratio: dict[tuple[float, float], float]
 
 
-def eval_weights(
-    params: CarlemanParams, mesh: BulkSurfaceMesh, times: np.ndarray
-) -> WeightEval:
+def eval_weights(params: CarlemanParams, times: np.ndarray) -> WeightEval:
     """Evaluate theta, xi, alpha and exp(-2 R alpha) at the given times.
 
     Times must lie strictly inside (0, T); theta is singular at the
@@ -120,7 +118,7 @@ def _interior_weights(
         raise ValueError("trajectory has no interior time nodes")
     if abs(traj.times[-1] - params.T) > 1e-12 * max(1.0, params.T):
         raise ValueError("trajectory horizon differs from the weight horizon T")
-    return eval_weights(params, sys.mesh, traj.times[1:-1])
+    return eval_weights(params, traj.times[1:-1])
 
 
 def carleman_lhs(
@@ -273,9 +271,7 @@ def carleman_sweep(
     return SweepResult(rows=rows, max_ratio=max_ratio)
 
 
-def weight_bounds(
-    params: CarlemanParams, mesh: BulkSurfaceMesh, times: np.ndarray
-) -> dict:
+def weight_bounds(params: CarlemanParams, times: np.ndarray) -> dict:
     """Grid extrema of the weight combinations used by the estimates.
 
     Returns min over the grid of theta xi, the min of theta^3 xi^3
@@ -284,7 +280,7 @@ def weight_bounds(
     varsigma1 = max |alpha_t| / (theta^2 xi^2) with the analytic
     alpha_t = theta'(t) p(x).
     """
-    w = eval_weights(params, mesh, times)
+    w = eval_weights(params, times)
     theta_xi = w.theta[:, None] * w.xi[None, :]
     t3x3e = w.theta[:, None] ** 3 * w.xi[None, :] ** 3 * w.exp_factor
     txe = theta_xi * w.exp_factor
@@ -307,7 +303,7 @@ def weight_bounds(
     }
 
 
-def pointwise_lambda_floor(mesh: BulkSurfaceMesh, eta: EtaField) -> np.ndarray:
+def pointwise_lambda_floor(eta: EtaField) -> np.ndarray:
     """Per-node value of 2 |Laplacian(eta)| / |grad eta|^2.
 
     The pointwise lower bound on lambda blows up where grad eta vanishes
@@ -315,7 +311,7 @@ def pointwise_lambda_floor(mesh: BulkSurfaceMesh, eta: EtaField) -> np.ndarray:
     The sweep only records this diagnostic, it does not enforce it.
     """
     grad_sq = np.sum(eta.gradient**2, axis=1)
-    out = np.full(mesh.n_nodes, np.inf)
+    out = np.full(eta.values.size, np.inf)
     nz = grad_sq > 0
     out[nz] = 2.0 * np.abs(eta.laplacian[nz]) / grad_sq[nz]
     return out

@@ -30,7 +30,11 @@ Task parameters:
     carleman:      lambda_grid, R_grid, m, samples, seed
     observability: samples, seed
     control:       u0 (field spec), eps (number or list), cg_tol, cg_maxit
-                   (the last two optional); needs nt >= 2
+                   (the last two optional)
+
+carleman and control need nt >= 2.  Every number in a config must be
+finite and not a boolean: JSON extensions such as NaN and Infinity are
+rejected.
 
 Field specs: {"kind": "zero"} | {"kind": "constant", "value": c}
            | {"kind": "random", "seed": s} | {"kind": "eigenmode"};
@@ -40,8 +44,9 @@ Every run writes a manifest.json with the config, its hash, package and
 library versions, summary scalars, and the artifact list.  CSV artifacts
 carry the config hash in a comment header and are byte-identical across
 runs with the same config and seed.  Exit codes: 0 success, 1 numerical
-failure (manifest flags it), 2 invalid config (single-line error naming
-the offending field).
+failure (manifest flags it; this includes a non-finite value that would
+have to be written to JSON), 2 invalid config (single-line error naming the
+offending field).
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -126,10 +132,22 @@ def _need(data: dict, field: str, types, where: str = ""):
     return val
 
 
+def _finite(val) -> bool:
+    """A JSON number that is a finite float: no bool, NaN, Infinity or huge integer."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _need_num(data: dict, field: str, where: str = "", positive=False, nonneg=False):
     val = _need(data, field, (int, float), where)
-    if isinstance(val, bool):
-        raise ConfigError(f"{where + '.' if where else ''}{field}: expected number")
+    if not _finite(val):
+        raise ConfigError(
+            f"{where + '.' if where else ''}{field}: expected finite number"
+        )
     if positive and not val > 0:
         raise ConfigError(f"{where + '.' if where else ''}{field}: must be > 0")
     if nonneg and val < 0:
@@ -192,7 +210,9 @@ def _validate(data: dict) -> None:
     _need_num(data, "beta0", nonneg=True)
 
     _need_num(data, "T", positive=True)
-    _need_int(data, "nt", minimum=1)
+    nt = _need_int(data, "nt", minimum=1)
+    if task in ("carleman", "control") and nt < 2:
+        raise ConfigError(f"nt: must be >= 2 for task {task}")
     theta = _need_num(data, "theta")
     if theta not in (0.5, 1.0):
         raise ConfigError(f"theta: must be 0.5 or 1, got {theta}")
@@ -206,10 +226,10 @@ def _validate(data: dict) -> None:
     elif task == "carleman":
         for grid in ("lambda_grid", "R_grid"):
             vals = _need(params, grid, list, "params")
-            if not vals or not all(
-                isinstance(v, (int, float)) and v > 0 for v in vals
-            ):
-                raise ConfigError(f"params.{grid}: must be a list of positive numbers")
+            if not vals or not all(_finite(v) and v > 0 for v in vals):
+                raise ConfigError(
+                    f"params.{grid}: must be a list of finite positive numbers"
+                )
             if len(set(vals)) < len(vals):
                 raise ConfigError(f"params.{grid}: must not repeat a value")
         m = _need_num(params, "m", "params")
@@ -221,15 +241,13 @@ def _validate(data: dict) -> None:
         _need_int(params, "samples", "params", minimum=1)
         _need_int(params, "seed", "params", minimum=0)
     elif task == "control":
-        if data["nt"] < 2:
-            raise ConfigError("nt: must be >= 2 for task control")
         _validate_field_spec(params, "u0", allow_eigenmode=True)
         eps = _need(params, "eps", (int, float, list), "params")
         eps_list = eps if isinstance(eps, list) else [eps]
-        if not eps_list or not all(
-            isinstance(e, (int, float)) and e > 0 for e in eps_list
-        ):
-            raise ConfigError("params.eps: must be a positive number or list of them")
+        if not eps_list or not all(_finite(e) and e > 0 for e in eps_list):
+            raise ConfigError(
+                "params.eps: must be a finite positive number or list of them"
+            )
         if "cg_tol" in params:
             tol = _need_num(params, "cg_tol", "params", positive=True)
             if not tol < 1:
@@ -321,9 +339,11 @@ def _fmt(v) -> str:
 
 
 def _write_json(path, payload: dict) -> None:
+    # Encoded before the file is opened, so a non-finite value (ValueError)
+    # leaves no partial file behind.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
@@ -358,16 +378,19 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
             "control": _run_control,
         }[task]
         runner(sys_, mesh, config, out, manifest)
+        _write_json(os.path.join(out, "manifest.json"), manifest)
+        return 0
     except ConfigError:
         raise
     except Exception as exc:  # numerical failure: keep partial outputs, flag them
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
+        # a non-finite summary scalar may be what failed the manifest write
+        manifest["summary"] = {
+            k: v if math.isfinite(v) else None for k, v in manifest["summary"].items()
+        }
         _write_json(os.path.join(out, "manifest.json"), manifest)
         return 1
-
-    _write_json(os.path.join(out, "manifest.json"), manifest)
-    return 0
 
 
 def _record(manifest: dict, out: str, name: str) -> str:
@@ -430,7 +453,7 @@ def _run_carleman(sys_, mesh, config, out, manifest) -> None:
         rows,
         config.config_hash,
     )
-    floor = pointwise_lambda_floor(mesh, eta)
+    floor = pointwise_lambda_floor(eta)
     finite = floor[np.isfinite(floor)]
     _write_json(
         _record(manifest, out, "carleman_summary.json"),

@@ -302,9 +302,7 @@ def duhamel_final(
     eigendecomposition of (K, M)) and the midpoint rule with nt panels for
     the source integral.  Intended as an oracle on small systems.
 
-    ``g`` may be None, a callable t -> (n_boundary,) array, or a
-    BoundarySignal sampled at uniform time nodes on [0, T] (interpolated
-    linearly in time at the midpoints).
+    ``g`` is None (no source) or a callable t -> (n_boundary,) array.
     """
     if sys.ndof > _DENSE_DIM_LIMIT:
         raise ValueError(
@@ -325,22 +323,10 @@ def duhamel_final(
     if g is None:
         return out
 
-    if callable(g):
-        sample = g
-    else:
-        vals = g.values if isinstance(g, BoundarySignal) else np.asarray(g)
-        tnodes = np.linspace(0.0, T, vals.shape[0])
-
-        def sample(t: float) -> np.ndarray:
-            out = np.empty(vals.shape[1])
-            for j in range(vals.shape[1]):
-                out[j] = np.interp(t, tnodes, vals[:, j])
-            return out
-
     dt = T / nt
     for k in range(nt):
         s = (k + 0.5) * dt
-        src = sys.B @ np.asarray(sample(s), dtype=float)
+        src = sys.B @ np.asarray(g(s), dtype=float)
         out += dt * propagate(T - s, src / sys.M_diag)
     return out
 

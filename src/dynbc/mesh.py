@@ -5,12 +5,15 @@ that carry explicit boundary data: boundary node indices, boundary edges with
 arclength, and outward unit normals.  Also constructs the auxiliary field
 ``eta`` used by the Carleman weights: eta > 0 inside the domain, eta = 0 on
 the boundary, with strictly negative outward normal derivative away from
-rectangle corners.
+rectangle corners.  Each builder is the one place that knows its geometry:
+it stores the closed form of eta on the mesh, and ``build_eta`` evaluates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -38,9 +41,8 @@ class BulkSurfaceMesh:
     boundary_edges : (n_edges, 2) indices into ``bulk_nodes``; empty in 1D.
     outward_normals : (n_boundary, dim) unit outward normals at boundary nodes.
     h : max cell diameter.
-    kind : construction tag ("interval" | "rect" | "disk"), used for the
-        closed-form eta field.
-    extents : geometry parameters of the constructor (kept for eta).
+    eta_form : the geometry's closed-form eta; maps node coordinates
+        (n, dim) to (values (n,), gradient (n, dim), Laplacian (n,)).
     corner_boundary_indices : positions within ``boundary_nodes`` where the
         boundary is not smooth (rectangle corners); empty otherwise.
     """
@@ -52,8 +54,7 @@ class BulkSurfaceMesh:
     boundary_edges: np.ndarray
     outward_normals: np.ndarray
     h: float
-    kind: str
-    extents: dict = field(default_factory=dict)
+    eta_form: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     corner_boundary_indices: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=int)
     )
@@ -81,7 +82,6 @@ class EtaField:
     laplacian: np.ndarray
     sup_norm: float
     boundary_normal_derivative: np.ndarray
-    corner_boundary_indices: np.ndarray
 
 
 def build_interval_mesh(a: float, b: float, n: int) -> BulkSurfaceMesh:
@@ -107,8 +107,7 @@ def build_interval_mesh(a: float, b: float, n: int) -> BulkSurfaceMesh:
         boundary_edges=np.empty((0, 2), dtype=int),
         outward_normals=normals,
         h=(b - a) / n,
-        kind="interval",
-        extents={"a": float(a), "b": float(b)},
+        eta_form=partial(_interval_eta, float(a), float(b)),
     )
 
 
@@ -158,8 +157,7 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
         boundary_edges=edges,
         outward_normals=normals,
         h=h,
-        kind="rect",
-        extents={"lx": float(lx), "ly": float(ly)},
+        eta_form=partial(_rect_eta, float(lx), float(ly)),
         corner_boundary_indices=corners,
     )
 
@@ -177,28 +175,20 @@ def build_disk_mesh(rho: float, nr: int, ntheta: int) -> BulkSurfaceMesh:
     if ntheta < 8:
         raise ValueError(f"need ntheta >= 8, got ntheta={ntheta}")
     angles = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    nodes = [np.zeros((1, 2))]
-    for i in range(1, nr + 1):
-        r = rho * i / nr
-        nodes.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
-    nodes = np.vstack(nodes)
+    r = rho * np.arange(1, nr + 1) / nr
+    X, Y = np.outer(r, np.cos(angles)), np.outer(r, np.sin(angles))
+    nodes = np.vstack([np.zeros((1, 2)), np.column_stack([X.ravel(), Y.ravel()])])
 
-    def rid(ring: int, j: int) -> int:
-        # ring >= 1
-        return 1 + (ring - 1) * ntheta + j % ntheta
+    # rid[ring - 1, j] is node j of ring `ring`; nxt is the next node on its ring.
+    rid = 1 + np.arange(nr * ntheta).reshape(nr, ntheta)
+    nxt = np.roll(rid, -1, axis=1)
+    fan = np.column_stack([np.zeros(ntheta, dtype=int), rid[0], nxt[0]])
+    # Two triangles per annular cell, rings outward, cells by angle.
+    a0, a1, b0, b1 = rid[:-1], nxt[:-1], rid[1:], nxt[1:]
+    quads = np.stack([a0, b0, b1, a0, b1, a1], axis=2).reshape(-1, 3)
+    cells = np.vstack([fan, quads])
 
-    cells = []
-    for j in range(ntheta):
-        cells.append((0, rid(1, j), rid(1, j + 1)))
-    for ring in range(1, nr):
-        for j in range(ntheta):
-            a0, a1 = rid(ring, j), rid(ring, j + 1)
-            b0, b1 = rid(ring + 1, j), rid(ring + 1, j + 1)
-            cells.append((a0, b0, b1))
-            cells.append((a0, b1, a1))
-    cells = np.array(cells, dtype=int)
-
-    boundary = np.array([rid(nr, j) for j in range(ntheta)], dtype=int)
+    boundary = rid[-1]
     edges = np.column_stack([boundary, np.roll(boundary, -1)])
     coords = nodes[boundary]
     normals = coords / np.linalg.norm(coords, axis=1, keepdims=True)
@@ -212,48 +202,19 @@ def build_disk_mesh(rho: float, nr: int, ntheta: int) -> BulkSurfaceMesh:
         boundary_edges=edges,
         outward_normals=normals,
         h=h,
-        kind="disk",
-        extents={"rho": float(rho)},
+        eta_form=partial(_disk_eta, float(rho)),
     )
 
 
 def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
-    """Closed-form auxiliary field for the supported geometries.
+    """Evaluate the mesh's closed-form auxiliary field at its nodes.
 
-    interval [a, b]:  eta(x) = (x - a)(b - x)
-    disk of radius rho:  eta(x) = rho^2 - |x|^2
-    rectangle [0,lx] x [0,ly]:  eta = x(lx - x) y(ly - y), scaled so the
-        analytic max (at the center) is 1.
-
-    Gradients and Laplacians are evaluated analytically at the nodes and
-    the boundary normal derivative is grad(eta) . normal.  ``sup_norm`` is the discrete
-    max of the nodal values.
+    Gradients and Laplacians are analytic (see the ``_*_eta`` forms), the
+    boundary values are set to exact zeros, and the boundary normal
+    derivative is grad(eta) . normal.  ``sup_norm`` is the discrete max of
+    the nodal values.
     """
-    x = mesh.bulk_nodes
-    if mesh.kind == "interval":
-        a, b = mesh.extents["a"], mesh.extents["b"]
-        xv = x[:, 0]
-        values = (xv - a) * (b - xv)
-        grad = (a + b - 2.0 * xv).reshape(-1, 1)
-        lap = np.full(mesh.n_nodes, -2.0)
-    elif mesh.kind == "disk":
-        rho = mesh.extents["rho"]
-        r2 = np.sum(x**2, axis=1)
-        values = rho**2 - r2
-        grad = -2.0 * x
-        lap = np.full(mesh.n_nodes, -4.0)
-    elif mesh.kind == "rect":
-        lx, ly = mesh.extents["lx"], mesh.extents["ly"]
-        scale = (lx / 2.0) ** 2 * (ly / 2.0) ** 2
-        xv, yv = x[:, 0], x[:, 1]
-        values = xv * (lx - xv) * yv * (ly - yv) / scale
-        gx = (lx - 2.0 * xv) * yv * (ly - yv) / scale
-        gy = xv * (lx - xv) * (ly - 2.0 * yv) / scale
-        grad = np.column_stack([gx, gy])
-        lap = -2.0 * (yv * (ly - yv) + xv * (lx - xv)) / scale
-    else:
-        raise ValueError(f"unsupported mesh kind {mesh.kind!r}")
-
+    values, grad, lap = mesh.eta_form(mesh.bulk_nodes)
     # Boundary values are exact zeros of the closed forms; clip roundoff.
     values = values.copy()
     values[mesh.boundary_nodes] = 0.0
@@ -266,8 +227,32 @@ def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
         laplacian=lap,
         sup_norm=float(values.max()),
         boundary_normal_derivative=normal_der,
-        corner_boundary_indices=mesh.corner_boundary_indices.copy(),
     )
+
+
+def _interval_eta(a: float, b: float, x: np.ndarray):
+    """eta(x) = (x - a)(b - x) on [a, b]."""
+    xv = x[:, 0]
+    values = (xv - a) * (b - xv)
+    grad = (a + b - 2.0 * xv).reshape(-1, 1)
+    return values, grad, np.full(x.shape[0], -2.0)
+
+
+def _rect_eta(lx: float, ly: float, x: np.ndarray):
+    """eta = x(lx - x) y(ly - y) on [0, lx] x [0, ly], scaled to 1 at the center."""
+    scale = (lx / 2.0) ** 2 * (ly / 2.0) ** 2
+    xv, yv = x[:, 0], x[:, 1]
+    values = xv * (lx - xv) * yv * (ly - yv) / scale
+    gx = (lx - 2.0 * xv) * yv * (ly - yv) / scale
+    gy = xv * (lx - xv) * (ly - 2.0 * yv) / scale
+    lap = -2.0 * (yv * (ly - yv) + xv * (lx - xv)) / scale
+    return values, np.column_stack([gx, gy]), lap
+
+
+def _disk_eta(rho: float, x: np.ndarray):
+    """eta(x) = rho^2 - |x|^2 on the disk of radius rho."""
+    values = rho**2 - np.sum(x**2, axis=1)
+    return values, -2.0 * x, np.full(x.shape[0], -4.0)
 
 
 def validate_mesh(mesh: BulkSurfaceMesh) -> None:

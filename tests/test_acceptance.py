@@ -200,7 +200,7 @@ def test_criterion_7_weight_bounds():
     eta = build_eta(mesh)
     params = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
     times = np.linspace(0.0, 1.0, 129)[1:-1]
-    w = eval_weights(params, mesh, times)
+    w = eval_weights(params, times)
     theta_xi = w.theta[:, None] * w.xi[None, :]
     floor = 4.0 * np.exp(params.lam * params.m * eta.sup_norm) / params.T**2
     if not theta_xi.min() >= floor:

@@ -48,7 +48,7 @@ def test_theta_closed_form():
     eta = build_eta(mesh)
     assert eta.sup_norm == pytest.approx(1.0)
     p = CarlemanParams(lam=1.0, R=1.0, m=2.0, T=1.0, eta=eta)
-    w = eval_weights(p, mesh, np.array([0.5]))
+    w = eval_weights(p, np.array([0.5]))
     assert w.theta[0] == pytest.approx(4.0)
 
 
@@ -56,7 +56,7 @@ def test_xi_and_alpha_closed_forms():
     mesh = build_interval_mesh(0, 2, 8)
     eta = build_eta(mesh)
     p = CarlemanParams(lam=1.0, R=1.0, m=2.0, T=1.0, eta=eta)
-    w = eval_weights(p, mesh, np.array([0.5]))
+    w = eval_weights(p, np.array([0.5]))
     boundary = mesh.boundary_nodes[0]
     assert w.xi[boundary] == pytest.approx(math.exp(2.0))  # eta = 0 there
     assert w.alpha[0, boundary] == pytest.approx(4 * (math.exp(4) - math.exp(2)))
@@ -68,7 +68,7 @@ def test_weights_reject_endpoint_times():
     p = CarlemanParams(lam=1.0, R=1.0, m=2.0, T=1.0, eta=eta)
     for t in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            eval_weights(p, mesh, np.array([t]))
+            eval_weights(p, np.array([t]))
 
 
 def test_weight_invariants_on_grid():
@@ -76,7 +76,7 @@ def test_weight_invariants_on_grid():
     eta = build_eta(mesh)
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
     times = np.linspace(0, 1, 65)[1:-1]
-    w = eval_weights(p, mesh, times)
+    w = eval_weights(p, times)
     assert np.all(w.theta >= 4.0 - 1e-14)
     xi_floor = math.exp(p.lam * p.m * eta.sup_norm)
     xi_ceil = math.exp(p.lam * (p.m + 1) * eta.sup_norm)
@@ -156,7 +156,7 @@ def test_lhs_brute_force_oracle():
 def test_rhs_equation_path_is_weighted_beta_trace():
     mesh, s, eta, adj = unit_interval_setup(beta=1.7)
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
-    w = eval_weights(p, mesh, adj.times[1:-1])
+    w = eval_weights(p, adj.times[1:-1])
     bnodes = mesh.boundary_nodes
     phi_g = adj.states[1:-1][:, bnodes]
     expected = adj.dt * np.sum(
@@ -225,7 +225,7 @@ def test_weight_bounds_report():
     eta = build_eta(mesh)
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
     times = np.linspace(0, 1, 129)[1:-1]
-    wb = weight_bounds(p, mesh, times)
+    wb = weight_bounds(p, times)
     assert wb["min_theta_xi"] >= wb["theta_xi_floor_analytic"]
     assert wb["min_theta3_xi3_exp_mid"] > 0
     assert np.isfinite(wb["max_theta_xi_exp"])
@@ -236,15 +236,15 @@ def test_varsigma1_stable_under_refinement():
     mesh = build_interval_mesh(0, 1, 32)
     eta = build_eta(mesh)
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
-    coarse = weight_bounds(p, mesh, np.linspace(0, 1, 129)[1:-1])["varsigma1"]
-    fine = weight_bounds(p, mesh, np.linspace(0, 1, 257)[1:-1])["varsigma1"]
+    coarse = weight_bounds(p, np.linspace(0, 1, 129)[1:-1])["varsigma1"]
+    fine = weight_bounds(p, np.linspace(0, 1, 257)[1:-1])["varsigma1"]
     assert abs(coarse - fine) / fine <= 0.05
 
 
 def test_lambda_floor_diagnostic():
     mesh = build_interval_mesh(0, 1, 8)
     eta = build_eta(mesh)
-    floor = pointwise_lambda_floor(mesh, eta)
+    floor = pointwise_lambda_floor(eta)
     # unbounded exactly at the interior critical point of eta
     assert np.sum(~np.isfinite(floor)) == 1
     assert np.all(floor[np.isfinite(floor)] > 0)
@@ -298,9 +298,9 @@ def test_sweep_evaluates_weights_once_per_sample_and_cell(monkeypatch):
     ]
     calls = []
 
-    def counting(params, mesh, times):
+    def counting(params, times):
         calls.append(params)
-        return eval_weights(params, mesh, times)
+        return eval_weights(params, times)
 
     monkeypatch.setattr(carleman, "eval_weights", counting)
     carleman_sweep(s, grid, 16, 0.5, 3, 4)

@@ -79,9 +79,14 @@ def test_malformed_geometry_exit_2(tmp_path, capsys):
     assert "geometry.n" in err
 
 
-def test_control_nt_1_exit_2(tmp_path, capsys):
-    cfg = base_config(task="control", nt=1)
-    cfg["params"] = {"u0": {"kind": "eigenmode"}, "eps": 1e-4}
+@pytest.mark.parametrize("task", ["control", "carleman"])
+def test_control_nt_1_exit_2(tmp_path, capsys, task):
+    cfg = base_config(task=task, nt=1)
+    cfg["params"] = {
+        "control": {"u0": {"kind": "eigenmode"}, "eps": 1e-4},
+        "carleman": {"lambda_grid": [1.0], "R_grid": [1.0], "m": 1.5,
+                     "samples": 1, "seed": 0},
+    }[task]
     path = write_config(tmp_path, cfg)
     out = tmp_path / "o"
     assert main(["run", path, "--out", str(out)]) == 2
@@ -89,6 +94,77 @@ def test_control_nt_1_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: nt:")
     assert not out.exists()
+
+
+_NON_FINITE_CASES = [
+    ("delta", lambda c: c.update(delta=float("nan"))),
+    ("T", lambda c: c.update(T=float("inf"))),
+    ("geometry.b", lambda c: c["geometry"].update(b=-float("inf"))),
+    ("beta.value", lambda c: c["beta"].update(value=True)),
+    ("params.u0.value", lambda c: c["params"].update(
+        u0={"kind": "constant", "value": float("nan")})),
+    ("params.lambda_grid", lambda c: c.update(task="carleman", params={
+        "lambda_grid": [True, 2], "R_grid": [1.0], "m": 1.5,
+        "samples": 1, "seed": 0})),
+    ("params.R_grid", lambda c: c.update(task="carleman", params={
+        "lambda_grid": [1.0], "R_grid": [float("inf")], "m": 1.5,
+        "samples": 1, "seed": 0})),
+    ("params.eps", lambda c: c.update(task="control", params={
+        "u0": {"kind": "eigenmode"}, "eps": [1e-2, float("nan")]})),
+    ("gamma", lambda c: c.update(gamma=10**400)),
+]
+
+
+@pytest.mark.parametrize(
+    "field, edit", _NON_FINITE_CASES, ids=[f for f, _ in _NON_FINITE_CASES]
+)
+def test_non_finite_or_boolean_number_exit_2(tmp_path, capsys, field, edit):
+    cfg = base_config()
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {field}:")
+    assert not out.exists()
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_result_fails_without_non_finite_json(tmp_path):
+    # pytest turns RuntimeWarning into an error; here the overflow must reach
+    # the JSON writer
+    cfg = base_config()
+    cfg["params"]["u0"] = {"kind": "constant", "value": 1e200}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    manifest = _strict_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert "not JSON compliant" in manifest["error"]
+    assert not (out / "simulate_summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_summary_is_nulled_in_failed_manifest(tmp_path):
+    # only U0_norm overflows: the long horizon keeps every result finite
+    cfg = base_config(task="control", T=5.0, nt=16)
+    cfg["params"] = {"u0": {"kind": "constant", "value": 1e154}, "eps": 1e-2}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    manifest = _strict_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["summary"]["U0_norm"] is None
+    assert np.isfinite(manifest["summary"]["final_norm_eps0"])
+    assert _strict_json(out / "result_0.json")["eps"] == 1e-2
 
 
 def test_missing_field_named(tmp_path, capsys):

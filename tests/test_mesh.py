@@ -10,6 +10,7 @@ from dynbc import (
     build_rect_mesh,
     validate_mesh,
 )
+from dynbc.mesh import _max_cell_diameter, _orient_ccw
 
 
 def test_interval_basic():
@@ -110,7 +111,7 @@ def test_eta_disk_closed_form():
 def test_eta_rect_corner_and_center():
     m = build_rect_mesh(1, 1, 2, 2)
     eta = build_eta(m)
-    corners = eta.corner_boundary_indices
+    corners = m.corner_boundary_indices
     assert corners.size == 4
     np.testing.assert_allclose(
         eta.boundary_normal_derivative[corners], 0.0, atol=1e-14
@@ -137,7 +138,7 @@ def test_eta_invariants(mesh):
     assert np.abs(eta.values[mesh.boundary_nodes]).max() <= 1e-14
     assert eta.sup_norm == eta.values.max()
     smooth = np.setdiff1d(
-        np.arange(mesh.n_boundary), eta.corner_boundary_indices
+        np.arange(mesh.n_boundary), mesh.corner_boundary_indices
     )
     assert np.all(eta.boundary_normal_derivative[smooth] < 0)
 
@@ -202,6 +203,55 @@ def test_rect_arrays_equal_loop_oracle(args):
     m = build_rect_mesh(*args)
     for name, want in _loop_rect_arrays(*args).items():
         got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _loop_disk_arrays(rho, nr, ntheta):
+    """Per-ring loop construction of the disk: the reference for the array code."""
+    angles = 2.0 * np.pi * np.arange(ntheta) / ntheta
+    nodes = [np.zeros((1, 2))]
+    for i in range(1, nr + 1):
+        r = rho * i / nr
+        nodes.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
+    nodes = np.vstack(nodes)
+
+    def rid(ring: int, j: int) -> int:
+        # ring >= 1
+        return 1 + (ring - 1) * ntheta + j % ntheta
+
+    cells = []
+    for j in range(ntheta):
+        cells.append((0, rid(1, j), rid(1, j + 1)))
+    for ring in range(1, nr):
+        for j in range(ntheta):
+            a0, a1 = rid(ring, j), rid(ring, j + 1)
+            b0, b1 = rid(ring + 1, j), rid(ring + 1, j + 1)
+            cells.append((a0, b0, b1))
+            cells.append((a0, b1, a1))
+    cells = np.array(cells, dtype=int)
+
+    boundary = np.array([rid(nr, j) for j in range(ntheta)], dtype=int)
+    edges = np.column_stack([boundary, np.roll(boundary, -1)])
+    coords = nodes[boundary]
+    normals = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+    return {
+        "bulk_nodes": nodes,
+        "bulk_cells": _orient_ccw(nodes, cells),
+        "boundary_nodes": boundary,
+        "boundary_edges": edges,
+        "outward_normals": normals,
+        "h": np.float64(_max_cell_diameter(nodes, cells)),
+    }
+
+
+@pytest.mark.parametrize(
+    "args", [(1, 2, 8), (1.0, 16, 64), (1.5, 3, 12), (0.7, 7, 17), (2, 8, 32)]
+)
+def test_disk_arrays_equal_loop_oracle(args):
+    m = build_disk_mesh(*args)
+    for name, want in _loop_disk_arrays(*args).items():
+        got = np.asarray(getattr(m, name))
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
 
