@@ -18,8 +18,12 @@ power of theta as t -> 0+ or t -> T-.  Both sides of the weighted inequality
 
 are evaluated on discrete adjoint trajectories with mass-lumped space
 quadrature and trapezoidal time quadrature; the weighted integrands are
-taken to vanish at t in {0, T}.  The sweep records the empirical ratio
-LHS / RHS over seeded random final data for a grid of (lambda, R).
+taken to vanish at t in {0, T}.  ``carleman_lhs`` and ``carleman_rhs``
+evaluate one stored trajectory and are the reference for the sweep.  The
+sweep records the empirical ratio LHS / RHS over seeded random final data
+for a grid of (lambda, R): it steps every sample backward as one block and
+reduces each time level as soon as it is solved, evaluating each cell's
+weights once per level, so it stores no trajectory.
 """
 
 from __future__ import annotations
@@ -121,22 +125,9 @@ def _interior_weights(
     return eval_weights(params, traj.times[1:-1])
 
 
-def carleman_lhs(
-    sys: DiscreteSystem,
-    adj: Trajectory,
-    params: CarlemanParams,
-    *,
-    grad_sq: np.ndarray | None = None,
-    weights: WeightEval | None = None,
-) -> float:
-    """Weighted left-hand side evaluated on an adjoint trajectory.
-
-    grad_sq, when given, is ``_nodal_grad_sq(sys, adj.states[1:-1])``; it
-    does not depend on params, so a sweep computes it once per trajectory.
-    weights, when given, is ``_interior_weights(params, sys, adj)``; a sweep
-    evaluates it once per (sample, cell) for both sides.
-    """
-    w = _interior_weights(params, sys, adj) if weights is None else weights
+def carleman_lhs(sys: DiscreteSystem, adj: Trajectory, params: CarlemanParams) -> float:
+    """Weighted left-hand side evaluated on an adjoint trajectory."""
+    w = _interior_weights(params, sys, adj)
     phi = adj.states[1:-1]
     dt = adj.dt
     bnodes = sys.boundary_nodes
@@ -148,8 +139,7 @@ def carleman_lhs(
     )
     term_sq = dt * bulk_sq.sum()
 
-    if grad_sq is None:
-        grad_sq = _nodal_grad_sq(sys, phi)
+    grad_sq = _nodal_grad_sq(sys, phi)
     bulk_gr = (
         w.theta[:, None]
         * w.xi[None, :]
@@ -177,8 +167,6 @@ def carleman_rhs(
     adj: Trajectory,
     params: CarlemanParams,
     path: str = "equation",
-    *,
-    weights: WeightEval | None = None,
 ) -> float:
     """Weighted right-hand side on an adjoint trajectory.
 
@@ -186,10 +174,9 @@ def carleman_rhs(
     theta xi exp(-2 R alpha) (beta phi_G)^2 exactly; path="direct" assembles
     d_t phi_G + delta LB(phi_G) - gamma d_nu phi from discrete time
     differences, the surface stiffness, and the variational flux recovery.
-    The two agree up to discretization error.  weights is as in
-    ``carleman_lhs``.
+    The two agree up to discretization error.
     """
-    w = _interior_weights(params, sys, adj) if weights is None else weights
+    w = _interior_weights(params, sys, adj)
     bnodes = sys.boundary_nodes
     phi_g = adj.states[1:-1][:, bnodes]
     dt = adj.dt
@@ -228,10 +215,17 @@ def carleman_sweep(
     Rows and max ratios are keyed by (lambda, R), so the cells must share one
     horizon T and not repeat a (lambda, R) pair (ValueError otherwise).
     Each sample is a standard normal final datum of unit M-norm (the zero
-    draw is rejected).  Its backward trajectory on the one Propagator and its
-    nodal |grad phi|^2 serve every cell and are dropped before the next
-    sample; the weights are evaluated once per (sample, cell) and serve both
-    sides.  Rows are in grid order: a fixed seed gives the same table bits.
+    draw is rejected).  The samples are stepped backward as the columns of
+    one block on one Propagator, and each interior level t_n is reduced as
+    soon as it is solved: phi^2, the nodal |grad phi|^2 (gradient operators
+    built once per sweep) and the boundary rows are formed for the whole
+    block, each cell's weights are evaluated at t_n alone, and the four
+    weighted sums (bulk, gradient, surface, rhs) are added into per-(cell,
+    sample) accumulators.  No trajectory is stored, and the solve to t_0,
+    where the weights vanish, is not made.  The weights have the bits of
+    ``carleman_lhs`` and ``carleman_rhs``; the block solve and the order of
+    the reductions move each side in its last bits.  Rows are in grid
+    order: a fixed seed gives the same table bits.
     """
     params_list = list(params_grid)
     horizons = {params.T for params in params_list}
@@ -242,26 +236,49 @@ def carleman_sweep(
         raise ValueError(f"grid repeats a (lambda, R) cell: {keys}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if nt < 2:
+        raise ValueError(f"need nt >= 2 for interior time nodes, got {nt}")
     data = _unit_normal_draws(sys, np.random.default_rng(seed), samples)
 
     prop = Propagator(sys, params_list[0].T, nt, theta)
-    sides: list[list[tuple[float, float]]] = [[] for _ in params_list]
-    for v in data:
-        adj = prop.backward(v)
-        grad_sq = _nodal_grad_sq(sys, adj.states[1:-1])
-        for params, cell in zip(params_list, sides):
-            w = _interior_weights(params, sys, adj)
-            lhs = carleman_lhs(sys, adj, params, grad_sq=grad_sq, weights=w)
-            rhs = carleman_rhs(sys, adj, params, path="equation", weights=w)
-            cell.append((lhs, rhs))
-            del w
-        del adj, grad_sq
+    times = np.linspace(0.0, prop.T, nt + 1)
+    ops = _cell_gradient_ops(sys.mesh)
+    bnodes, m_bulk, m_surf = sys.boundary_nodes, sys.m_bulk, sys.m_surf
+    # sums[c] holds the bulk, gradient, surface and rhs sums of cell c, by sample
+    sums = np.zeros((len(params_list), 4, samples))
+    levels = prop._levels(np.column_stack(data))
+    next(levels)  # Phi_T itself, at t_N = T where the weights vanish
+    # zip asks the range first, so the solve to t_0 is never made
+    for n, level in zip(range(nt - 1, 0, -1), levels):
+        phi = level.T  # (samples, ndof)
+        phi_sq = phi**2
+        grad_sq = _nodal_grad_sq(sys, phi, ops)
+        phi_b_sq = phi[:, bnodes] ** 2
+        comb_sq = (sys.beta * phi[:, bnodes]) ** 2
+        for params, cell in zip(params_list, sums):
+            w = eval_weights(params, times[n])
+            ef = w.exp_factor[0]
+            t3x3e = w.theta**3 * w.xi**3 * ef
+            txe = w.theta * w.xi * ef
+            # each lumped mass is the vector of a matrix-vector reduction
+            cell[0] += (t3x3e * phi_sq) @ m_bulk
+            cell[1] += (txe * grad_sq) @ m_bulk
+            cell[2] += (t3x3e[bnodes] * phi_b_sq) @ m_surf
+            cell[3] += (txe[bnodes] * comb_sq) @ m_surf
 
     rows = []
     max_ratio: dict[tuple[float, float], float] = {}
-    for params, cell in zip(params_list, sides):
+    dt = prop.dt
+    for params, (bulk, grad, surf, rhs_sum) in zip(params_list, sums):
+        lam, R = params.lam, params.R
+        lhs_all = (
+            lam**3 * R**2 * (dt * bulk)
+            + lam * (dt * grad)
+            + lam**2 * R**2 * (dt * surf)
+        )
+        rhs_all = dt * rhs_sum
         cell_max = 0.0
-        for sid, (lhs, rhs) in enumerate(cell):
+        for sid, (lhs, rhs) in enumerate(zip(lhs_all.tolist(), rhs_all.tolist())):
             # rhs underflows to 0 when lam*m*sup(eta) pushes exp(-2 R alpha)
             # below double precision everywhere; record nan, don't raise
             ratio = lhs / rhs if rhs > 0.0 else float("nan")
@@ -335,15 +352,16 @@ def _cell_gradient_ops(mesh: BulkSurfaceMesh):
     return grads, scatter
 
 
-def _nodal_grad_sq(sys: DiscreteSystem, states: np.ndarray) -> np.ndarray:
+def _nodal_grad_sq(sys: DiscreteSystem, states: np.ndarray, ops=None) -> np.ndarray:
     """Volume-weighted nodal recovery of |grad phi|^2 from cellwise gradients.
 
-    states has shape (n_times, n_nodes); the result matches it.  The sparse
-    products run on a contiguous (n_nodes, n_times) copy and keep the
-    (cells, times) layout; each entry is accumulated in the same order as
-    with time-major rows, so the values are the same bits.
+    states has shape (n_states, n_nodes); the result matches it.  The sparse
+    products run on a contiguous (n_nodes, n_states) copy and keep the
+    (cells, states) layout; each entry is accumulated in the same order as
+    with one state per row, so the values are the same bits.  ops is
+    ``_cell_gradient_ops(sys.mesh)``, built here when not given.
     """
-    grads, scatter = _cell_gradient_ops(sys.mesh)
+    grads, scatter = _cell_gradient_ops(sys.mesh) if ops is None else ops
     by_node = np.ascontiguousarray(states.T)
     cell_sq = np.zeros((scatter.shape[1], by_node.shape[1]))
     for G in grads:

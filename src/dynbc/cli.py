@@ -41,7 +41,8 @@ Field specs: {"kind": "zero"} | {"kind": "constant", "value": c}
 signal specs are the same without "eigenmode".
 
 Every run writes a manifest.json with the config, its hash, package and
-library versions, summary scalars, and the artifact list.  CSV artifacts
+library versions, summary scalars, and the list of artifacts written (a
+failed run lists only the files it finished writing).  CSV artifacts
 carry the config hash in a comment header and are byte-identical across
 runs with the same config and seed.  Exit codes: 0 success, 1 numerical
 failure (manifest flags it; this includes a non-finite value that would
@@ -57,6 +58,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,26 +395,31 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         return 1
 
 
-def _record(manifest: dict, out: str, name: str) -> str:
+@contextmanager
+def _artifact(manifest: dict, out: str, name: str):
+    """Yield the path of artifact name; list it in the manifest once written.
+
+    A write that raises leaves the name out of ``manifest["artifacts"]``.
+    """
+    yield os.path.join(out, name)
     manifest["artifacts"].append(name)
-    return os.path.join(out, name)
 
 
 def _trajectory_artifacts(sys_, traj, config, out, manifest, prefix: str) -> None:
-    trajectory_to_csv(
-        traj,
-        _record(manifest, out, f"{prefix}_trajectory.csv"),
-        header_lines=[f"config_hash={config.config_hash}"],
-    )
+    with _artifact(manifest, out, f"{prefix}_trajectory.csv") as path:
+        trajectory_to_csv(
+            traj, path, header_lines=[f"config_hash={config.config_hash}"]
+        )
     norms = trajectory_norms(sys_, traj)
-    _write_json(
-        _record(manifest, out, f"{prefix}_summary.json"),
-        {
-            "config_hash": config.config_hash,
-            "times": traj.times.tolist(),
-            "m_norms": norms.tolist(),
-        },
-    )
+    with _artifact(manifest, out, f"{prefix}_summary.json") as path:
+        _write_json(
+            path,
+            {
+                "config_hash": config.config_hash,
+                "times": traj.times.tolist(),
+                "m_norms": norms.tolist(),
+            },
+        )
     manifest["summary"][f"{prefix}_final_norm"] = float(norms[-1])
 
 
@@ -447,26 +454,23 @@ def _run_carleman(sys_, mesh, config, out, manifest) -> None:
     )
     rows, max_ratio = result.rows, result.max_ratio
 
-    _write_csv(
-        _record(manifest, out, "carleman_sweep.csv"),
-        "lambda,R,sample_id,lhs,rhs,ratio",
-        rows,
-        config.config_hash,
-    )
+    with _artifact(manifest, out, "carleman_sweep.csv") as path:
+        _write_csv(path, "lambda,R,sample_id,lhs,rhs,ratio", rows, config.config_hash)
     floor = pointwise_lambda_floor(eta)
     finite = floor[np.isfinite(floor)]
-    _write_json(
-        _record(manifest, out, "carleman_summary.json"),
-        {
-            "config_hash": config.config_hash,
-            "max_ratio": [
-                {"lambda": lam, "R": R, "ratio": r}
-                for (lam, R), r in max_ratio.items()
-            ],
-            "lambda_floor_unbounded_nodes": int(np.sum(~np.isfinite(floor))),
-            "lambda_floor_max_finite": float(finite.max()) if finite.size else None,
-        },
-    )
+    with _artifact(manifest, out, "carleman_summary.json") as path:
+        _write_json(
+            path,
+            {
+                "config_hash": config.config_hash,
+                "max_ratio": [
+                    {"lambda": lam, "R": R, "ratio": r}
+                    for (lam, R), r in max_ratio.items()
+                ],
+                "lambda_floor_unbounded_nodes": int(np.sum(~np.isfinite(floor))),
+                "lambda_floor_max_finite": float(finite.max()) if finite.size else None,
+            },
+        )
     manifest["summary"]["max_ratio_overall"] = float(max(max_ratio.values()))
 
 
@@ -476,21 +480,23 @@ def _run_observability(sys_, mesh, config, out, manifest) -> None:
     report = estimate_CT(
         sys_, data["T"], data["nt"], p["samples"], p["seed"], theta=data["theta"]
     )
-    _write_csv(
-        _record(manifest, out, "observability_samples.csv"),
-        "sample_id,initial_energy,observation_energy,ratio",
-        ((i, a, b, r) for i, (a, b, r) in enumerate(report.per_sample)),
-        config.config_hash,
-    )
-    _write_json(
-        _record(manifest, out, "observability_report.json"),
-        {
-            "config_hash": config.config_hash,
-            "CT_estimate": report.CT_estimate,
-            "samples": report.samples,
-            "T": report.T,
-        },
-    )
+    with _artifact(manifest, out, "observability_samples.csv") as path:
+        _write_csv(
+            path,
+            "sample_id,initial_energy,observation_energy,ratio",
+            ((i, a, b, r) for i, (a, b, r) in enumerate(report.per_sample)),
+            config.config_hash,
+        )
+    with _artifact(manifest, out, "observability_report.json") as path:
+        _write_json(
+            path,
+            {
+                "config_hash": config.config_hash,
+                "CT_estimate": report.CT_estimate,
+                "samples": report.samples,
+                "T": report.T,
+            },
+        )
     manifest["summary"]["CT_estimate"] = report.CT_estimate
 
 
@@ -513,28 +519,30 @@ def _run_control(sys_, mesh, config, out, manifest) -> None:
     scaling_rows = []
     for idx, (eps, problem, result) in enumerate(zip(eps_list, problems, results)):
         report = verify_null(problem, result)
-        _write_series(
-            _record(manifest, out, f"control_{idx}.csv"),
-            result.g_times,
-            result.g.values,
-            "t,boundary_node,g",
-            [f"config_hash={config.config_hash}"],
-        )
-        _write_json(
-            _record(manifest, out, f"result_{idx}.json"),
-            {
-                "config_hash": config.config_hash,
-                "eps": float(eps),
-                "final_norm": result.final_norm,
-                "control_norm": result.control_norm,
-                "iterations": result.iterations,
-                "cost": result.cost,
-                "converged": result.converged,
-                "true_residual": result.true_residual,
-                "final_norm_refined": report.final_norm_refined,
-                "optimality_residual": report.optimality_residual,
-            },
-        )
+        with _artifact(manifest, out, f"control_{idx}.csv") as path:
+            _write_series(
+                path,
+                result.g_times,
+                result.g.values,
+                "t,boundary_node,g",
+                [f"config_hash={config.config_hash}"],
+            )
+        with _artifact(manifest, out, f"result_{idx}.json") as path:
+            _write_json(
+                path,
+                {
+                    "config_hash": config.config_hash,
+                    "eps": float(eps),
+                    "final_norm": result.final_norm,
+                    "control_norm": result.control_norm,
+                    "iterations": result.iterations,
+                    "cost": result.cost,
+                    "converged": result.converged,
+                    "true_residual": result.true_residual,
+                    "final_norm_refined": report.final_norm_refined,
+                    "optimality_residual": report.optimality_residual,
+                },
+            )
         scaling_rows.append(
             (eps, result.final_norm, result.control_norm,
              result.iterations, result.cost)
@@ -544,12 +552,13 @@ def _run_control(sys_, mesh, config, out, manifest) -> None:
             manifest["summary"][f"non_converged_eps{idx}"] = True
 
     if len(eps_list) > 1:
-        _write_csv(
-            _record(manifest, out, "eps_scaling.csv"),
-            "eps,final_norm,control_norm,iterations,cost",
-            scaling_rows,
-            config.config_hash,
-        )
+        with _artifact(manifest, out, "eps_scaling.csv") as path:
+            _write_csv(
+                path,
+                "eps,final_norm,control_norm,iterations,cost",
+                scaling_rows,
+                config.config_hash,
+            )
     manifest["summary"]["U0_norm"] = norm_X2(sys_, U0)
 
 

@@ -163,24 +163,37 @@ class Propagator:
         times = np.linspace(0.0, self.T, self.nt + 1)
         return Trajectory(times=times, states=states, theta=self.theta, dt=self.dt)
 
-    def _march(self, X: np.ndarray, ghat, rows) -> tuple[np.ndarray, np.ndarray]:
-        """(last, kept): X after nt steps, and kept[n] = rows of level n.
+    def _levels(self, X: np.ndarray, ghat=None):
+        """Yield X, then each of the nt levels after it as it is stepped.
 
         X is one state (ndof,) or a block (ndof, k) stepped as one: per step
         one product with C, plus dt B ghat[n] when there is a source, and one
-        solve.  rows is slice(None) for a trajectory, the boundary nodes for
-        a trace, slice(0) for nothing; kept is in stepping order.
+        solve.  A level is solved only when it is asked for, so a caller that
+        stops early makes none of the remaining solves.
         """
         # SuperLU solves column by column, so hand it columns contiguous
         cur = np.asfortranarray(X)
-        kept = np.empty((self.nt + 1,) + cur[rows].shape)
-        kept[0] = cur[rows]
+        yield cur
         for n in range(self.nt):
             rhs = self.C @ cur
             if ghat is not None:
                 rhs = rhs + self.dt * (self.sys.B @ ghat[n])
             cur = self.lu.solve(rhs)
-            kept[n + 1] = cur[rows]
+            yield cur
+
+    def _march(self, X: np.ndarray, ghat, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(last, kept): X after nt steps, and kept[n] = rows of level n.
+
+        The levels are those of ``_levels(X, ghat)``.  rows is slice(None)
+        for a trajectory, the boundary nodes for a trace, slice(0) for
+        nothing; kept is in stepping order.
+        """
+        levels = self._levels(X, ghat)
+        cur = next(levels)
+        kept = np.empty((self.nt + 1,) + cur[rows].shape)
+        kept[0] = cur[rows]
+        for n, cur in enumerate(levels, start=1):
+            kept[n] = cur[rows]
         return cur, kept
 
     def forward(self, U0: np.ndarray, g) -> Trajectory:
@@ -343,7 +356,8 @@ def recover_normal_flux(sys: DiscreteSystem, traj: Trajectory) -> FluxPair:
     Time derivatives are centered differences (one-sided at the ends), so at
     least three time levels are required.  The relative discrepancy is the
     space-time L2 distance between the two, normalized by the equation
-    recovery.
+    recovery: 0.0 when both vanish, inf when only the equation recovery
+    does, and nan when the states hold a nan.
     """
     if traj.times.shape[0] < 3:
         raise ValueError("flux recovery needs at least 3 time levels")
@@ -363,7 +377,12 @@ def recover_normal_flux(sys: DiscreteSystem, traj: Trajectory) -> FluxPair:
     w = sys.m_surf
     diff = np.sqrt(np.sum((var - eqn) ** 2 * w) * dt)
     base = np.sqrt(np.sum(eqn**2 * w) * dt)
-    rel = diff / base if base > 0 else 0.0
+    if diff == 0.0 and base == 0.0:
+        rel = 0.0
+    else:
+        # a zero base with a nonzero diff is inf, a nan in the states is nan
+        with np.errstate(divide="ignore"):
+            rel = diff / base
     return FluxPair(variational=var, equation=eqn, rel_discrepancy=float(rel))
 
 

@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
 from dynbc import (
     CarlemanParams,
+    Propagator,
     Trajectory,
     assemble,
     build_disk_mesh,
@@ -20,7 +22,7 @@ from dynbc import (
     weight_bounds,
 )
 from dynbc import carleman
-from dynbc.carleman import _cell_gradient_ops, _interior_weights, _nodal_grad_sq
+from dynbc.carleman import _cell_gradient_ops, _nodal_grad_sq
 
 
 def unit_interval_setup(n=8, nt=16, beta=1.0):
@@ -270,24 +272,7 @@ def test_nodal_grad_sq_bitwise_equals_per_time_oracle(geometry):
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
-def test_lhs_reuses_given_grad_sq():
-    mesh, s, eta, adj = unit_interval_setup()
-    p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
-    grad_sq = _nodal_grad_sq(s, adj.states[1:-1])
-    assert carleman_lhs(s, adj, p, grad_sq=grad_sq) == carleman_lhs(s, adj, p)
-
-
-def test_sides_reuse_given_weights():
-    mesh, s, eta, adj = unit_interval_setup()
-    p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
-    w = _interior_weights(p, s, adj)
-    assert carleman_lhs(s, adj, p, weights=w) == carleman_lhs(s, adj, p)
-    for path in ("equation", "direct"):
-        got = carleman_rhs(s, adj, p, path=path, weights=w)
-        assert got == carleman_rhs(s, adj, p, path=path)
-
-
-def test_sweep_evaluates_weights_once_per_sample_and_cell(monkeypatch):
+def test_sweep_evaluates_weights_once_per_level_and_cell(monkeypatch):
     mesh = build_interval_mesh(0, 1, 8)
     s = assemble(mesh, 1.0, 0.0, 1.0)
     eta = build_eta(mesh)
@@ -296,27 +281,45 @@ def test_sweep_evaluates_weights_once_per_sample_and_cell(monkeypatch):
         for lam in (1.0, 2.0)
         for R in (1.0, 2.0, 4.0)
     ]
+    nt = 16
     calls = []
 
     def counting(params, times):
-        calls.append(params)
+        calls.append(np.shape(times))
         return eval_weights(params, times)
 
     monkeypatch.setattr(carleman, "eval_weights", counting)
-    carleman_sweep(s, grid, 16, 0.5, 3, 4)
-    assert len(calls) == 3 * len(grid)
+    for samples in (1, 3):
+        calls.clear()
+        carleman_sweep(s, grid, nt, 0.5, samples, 4)
+        # one call per (interior level, cell), each at a single time
+        assert len(calls) == len(grid) * (nt - 1)
+        assert set(calls) == {()}
 
 
-def test_sweep_equals_cell_major_oracle():
-    """Rows and max ratios equal a per-cell loop over per-sample solves."""
+def test_sweep_makes_no_solve_to_t0(monkeypatch):
     mesh = build_interval_mesh(0, 1, 8)
     s = assemble(mesh, 1.0, 0.0, 1.0)
     eta = build_eta(mesh)
-    grid = [
-        CarlemanParams(lam=lam, R=R, m=1.5, T=0.5, eta=eta)
-        for R, lam in ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (2.0, 2.0))
-    ]
-    samples, seed, nt = 3, 21, 16
+    grid = [CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)]
+    nt, solved = 16, []
+
+    class CountingPropagator(Propagator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lu = self.lu
+            self.lu = types.SimpleNamespace(
+                solve=lambda rhs: solved.append(rhs.shape) or lu.solve(rhs)
+            )
+
+    monkeypatch.setattr(carleman, "Propagator", CountingPropagator)
+    carleman_sweep(s, grid, nt, 0.5, 3, 4)
+    # one block solve per interior level t_{nt-1}, ..., t_1
+    assert solved == [(s.ndof, 3)] * (nt - 1)
+
+
+def _cell_major_oracle(s, grid, nt, samples, seed):
+    """Rows and max ratios of a per-cell loop over per-sample trajectories."""
     rng = np.random.default_rng(seed)
     data = []
     for _ in range(samples):
@@ -333,9 +336,64 @@ def test_sweep_equals_cell_major_oracle():
             rows.append((p.lam, p.R, sid, lhs, rhs, ratio))
             cell_max = max(cell_max, ratio)
         max_ratio[(p.lam, p.R)] = cell_max
+    return rows, max_ratio
+
+
+def _assert_sweep_close(sw, rows, max_ratio):
+    _assert_close_rows(sw.rows, rows)
+    assert list(sw.max_ratio) == list(max_ratio)
+    _assert_close_rows(
+        [(*key, 0, v) for key, v in sw.max_ratio.items()],
+        [(*key, 0, v) for key, v in max_ratio.items()],
+    )
+
+
+def _assert_close_rows(got, want, rel=1e-13):
+    """Same keys in the same order, same exact zeros and nans, finite values close."""
+    assert [r[:3] for r in got] == [r[:3] for r in want]
+    a = np.array([r[3:] for r in got])
+    b = np.array([r[3:] for r in want])
+    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+    np.testing.assert_array_equal(np.isfinite(a), np.isfinite(b))
+    np.testing.assert_array_equal(a == 0.0, b == 0.0)
+    finite = np.isfinite(b) & (b != 0.0)
+    assert np.all(np.abs(a - b)[finite] <= rel * np.abs(b[finite]))
+
+
+def test_sweep_equals_cell_major_oracle():
+    """Rows and max ratios match a per-cell loop over per-sample solves.
+
+    The block solve and the sweep's reductions may move the last bits, so
+    finite values agree to 1e-13 relative; exact zeros and nans match.
+    """
+    mesh = build_interval_mesh(0, 1, 8)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=lam, R=R, m=1.5, T=0.5, eta=eta)
+        for R, lam in ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (2.0, 2.0))
+    ]
+    samples, seed, nt = 3, 21, 16
+    rows, max_ratio = _cell_major_oracle(s, grid, nt, samples, seed)
+    _assert_sweep_close(carleman_sweep(s, grid, nt, 0.5, samples, seed), rows, max_ratio)
+
+
+def test_sweep_equals_cell_major_oracle_on_disk():
+    # lambda = 16 underflows the rhs of some cells to exactly 0 (nan ratios)
+    mesh = build_disk_mesh(1.0, 8, 32)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=lam, R=R, m=2.0, T=1.0, eta=eta)
+        for lam in (1.0, 4.0, 16.0)
+        for R in (1.0, 2.0, 4.0)
+    ]
+    samples, seed, nt = 3, 7, 32
+    rows, max_ratio = _cell_major_oracle(s, grid, nt, samples, seed)
     sw = carleman_sweep(s, grid, nt, 0.5, samples, seed)
-    assert sw.rows == rows
-    assert sw.max_ratio == max_ratio
+    assert any(math.isnan(r[5]) for r in rows)
+    assert any(r[4] > 0.0 for r in rows)
+    _assert_sweep_close(sw, rows, max_ratio)
 
 
 def test_sweep_rejects_mixed_horizons():

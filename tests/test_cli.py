@@ -153,6 +153,20 @@ def test_overflowing_result_fails_without_non_finite_json(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_run_lists_only_written_artifacts(tmp_path):
+    # the overflowing norms fail the summary write: only the CSV is written
+    cfg = base_config(nt=8)
+    cfg["params"]["u0"] = {"kind": "constant", "value": 1e200}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    manifest = _strict_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["artifacts"] == ["simulate_trajectory.csv"]
+    assert all((out / name).is_file() for name in manifest["artifacts"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_summary_is_nulled_in_failed_manifest(tmp_path):
     # only U0_norm overflows: the long horizon keeps every result finite
     cfg = base_config(task="control", T=5.0, nt=16)

@@ -201,6 +201,24 @@ def test_flux_constant_state_is_zero():
     np.testing.assert_allclose(fp.equation, 0.0, atol=1e-13)
 
 
+def test_flux_discrepancy_flags_nan_and_zero_base():
+    s = interval_sys(n=8)
+    times = np.linspace(0, 1, 5)
+    profile = np.sin(np.pi * build_interval_mesh(0, 1, 8).bulk_nodes[:, 0])
+    states = np.tile(profile, (5, 1))
+    states[:, s.boundary_nodes] = 0.0
+    # the boundary rows vanish, so the equation recovery (the base) is exactly 0
+    # while the weak flux of the interior profile is not
+    frozen = Trajectory(times=times, states=states, theta=1.0, dt=0.25)
+    assert recover_normal_flux(s, frozen).rel_discrepancy == np.inf
+    states = states.copy()
+    states[2, s.boundary_nodes[0]] = np.nan
+    holed = Trajectory(times=times, states=states, theta=1.0, dt=0.25)
+    assert np.isnan(recover_normal_flux(s, holed).rel_discrepancy)
+    zero = Trajectory(times=times, states=np.zeros_like(states), theta=1.0, dt=0.25)
+    assert recover_normal_flux(s, zero).rel_discrepancy == 0.0
+
+
 def test_flux_steady_linear_profile():
     # phi(x) = x frozen in time: the weak flux gamma d_nu phi at x = 1 is gamma
     gamma = 2.0
@@ -421,6 +439,35 @@ def test_block_backward_matches_one_column_solves(name, theta):
     again0, again_b = prop.backward_boundary(PhiT)
     assert again0.tobytes() == phi0.tobytes()
     assert again_b.tobytes() == bound.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
+def test_levels_yield_what_march_keeps(name, theta):
+    s = PROPAGATOR_SYSTEMS[name]()
+    T, nt, k = 0.7, 12, 5
+    prop = Propagator(s, T, nt, theta)
+    rng = np.random.default_rng(18)
+    U0 = rng.standard_normal(s.ndof)
+    g = BoundarySignal(rng.standard_normal((nt + 1, s.n_boundary)))
+    ghat = evolution._step_sources(s, g, nt, theta)
+    for X, source in ((U0, ghat), (U0, None), (rng.standard_normal((s.ndof, k)), None)):
+        levels = list(prop._levels(X, source))
+        last, kept = prop._march(X, source, slice(None))
+        assert len(levels) == nt + 1
+        assert np.array(levels).tobytes() == kept.tobytes()
+        assert last.tobytes() == levels[-1].tobytes()
+        assert last.flags.f_contiguous == levels[-1].flags.f_contiguous
+
+
+def test_levels_solve_only_what_is_asked_for():
+    s = PROPAGATOR_SYSTEMS["interval8"]()
+    prop = Propagator(s, 0.7, 12, 0.5)
+    prop.lu = counter = _CountingLU(prop.lu)
+    levels = prop._levels(np.ones(s.ndof))
+    for solves in range(4):
+        next(levels)
+        assert counter.solves == solves
 
 
 class _CountingLU:
