@@ -22,8 +22,9 @@ taken to vanish at t in {0, T}.  ``carleman_lhs`` and ``carleman_rhs``
 evaluate one stored trajectory and are the reference for the sweep.  The
 sweep records the empirical ratio LHS / RHS over seeded random final data
 for a grid of (lambda, R): it steps every sample backward as one block and
-reduces each time level as soon as it is solved, evaluating each cell's
-weights once per level, so it stores no trajectory.
+reduces each time level as soon as it is solved, evaluating the
+time-independent part of each cell's weights once and the rest once per
+level, so it stores no trajectory.
 """
 
 from __future__ import annotations
@@ -99,10 +100,8 @@ def eval_weights(params: CarlemanParams, times: np.ndarray) -> WeightEval:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times <= 0.0) or np.any(times >= params.T):
         raise ValueError("weight evaluation requires times strictly inside (0, T)")
-    s = params.eta.sup_norm
+    xi, _, p = _space_weights(params)
     theta = 1.0 / (times * (params.T - times))
-    xi = np.exp(params.lam * (params.m * s + params.eta.values))
-    p = np.exp(2.0 * params.lam * params.m * s) - xi
     alpha = np.outer(theta, p)
     return WeightEval(
         times=times,
@@ -111,6 +110,28 @@ def eval_weights(params: CarlemanParams, times: np.ndarray) -> WeightEval:
         alpha=alpha,
         exp_factor=np.exp(-2.0 * params.R * alpha),
     )
+
+
+def _space_weights(params: CarlemanParams) -> tuple[np.ndarray, ...]:
+    """xi, xi^3 and p at the mesh nodes: the parts of the weights free of t."""
+    s = params.eta.sup_norm
+    xi = np.exp(params.lam * (params.m * s + params.eta.values))
+    return xi, xi**3, np.exp(2.0 * params.lam * params.m * s) - xi
+
+
+def _level_weights(
+    params: CarlemanParams, space: tuple, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta^3 xi^3 exp(-2 R alpha) and theta xi exp(-2 R alpha) at one time.
+
+    t is a 1-element array and space is ``_space_weights(params)``, so only
+    theta(t) and exp(-2 R alpha) are evaluated.  Each product is formed as
+    from ``eval_weights(params, t)``, with the same bits.
+    """
+    xi, xi3, p = space
+    theta = 1.0 / (t * (params.T - t))
+    ef = np.exp(-2.0 * params.R * np.outer(theta, p))[0]
+    return theta**3 * xi3 * ef, theta * xi * ef
 
 
 def _interior_weights(
@@ -219,7 +240,8 @@ def carleman_sweep(
     one block on one Propagator, and each interior level t_n is reduced as
     soon as it is solved: phi^2, the nodal |grad phi|^2 (gradient operators
     built once per sweep) and the boundary rows are formed for the whole
-    block, each cell's weights are evaluated at t_n alone, and the four
+    block, each cell's xi, xi^3 and p are evaluated once per sweep and only
+    theta(t_n) and exp(-2 R alpha) at each level, and the four
     weighted sums (bulk, gradient, surface, rhs) are added into per-(cell,
     sample) accumulators.  No trajectory is stored, and the solve to t_0,
     where the weights vanish, is not made.  The weights have the bits of
@@ -244,6 +266,7 @@ def carleman_sweep(
     times = np.linspace(0.0, prop.T, nt + 1)
     ops = _cell_gradient_ops(sys.mesh)
     bnodes, m_bulk, m_surf = sys.boundary_nodes, sys.m_bulk, sys.m_surf
+    space = [_space_weights(params) for params in params_list]
     # sums[c] holds the bulk, gradient, surface and rhs sums of cell c, by sample
     sums = np.zeros((len(params_list), 4, samples))
     levels = prop._levels(np.column_stack(data))
@@ -255,11 +278,8 @@ def carleman_sweep(
         grad_sq = _nodal_grad_sq(sys, phi, ops)
         phi_b_sq = phi[:, bnodes] ** 2
         comb_sq = (sys.beta * phi[:, bnodes]) ** 2
-        for params, cell in zip(params_list, sums):
-            w = eval_weights(params, times[n])
-            ef = w.exp_factor[0]
-            t3x3e = w.theta**3 * w.xi**3 * ef
-            txe = w.theta * w.xi * ef
+        for params, cell_space, cell in zip(params_list, space, sums):
+            t3x3e, txe = _level_weights(params, cell_space, times[n : n + 1])
             # each lumped mass is the vector of a matrix-vector reduction
             cell[0] += (t3x3e * phi_sq) @ m_bulk
             cell[1] += (txe * grad_sq) @ m_bulk

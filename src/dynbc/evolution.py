@@ -5,10 +5,11 @@ The forward system is stepped with the theta-scheme
     (M + theta dt K) U^{n+1} = (M - (1 - theta) dt K) U^n + dt B g_hat^n,
 
 with theta = 0.5 (Crank-Nicolson) or 1 (implicit Euler) and the linear
-solves done by a sparse LU factorization.  A ``Propagator`` holds that
-factorization for one uniform time grid, so every solve on the grid shares
-one ``splu``; ``solve_forward`` and ``solve_backward`` build a Propagator
-per call.  Every solve runs one stepping loop, ``Propagator._march``.
+solves done by the band Cholesky factor ``assembly.BandCholesky``.  A
+``Propagator`` holds that factor for one uniform time grid, so every solve
+on the grid shares one factorization; ``solve_forward`` and
+``solve_backward`` build a Propagator per call.  Every solve runs one
+stepping loop, ``Propagator._march``.
 ``Propagator.backward_boundary`` steps many final data at once as the
 columns of one block, one multi-column solve per step, and keeps only the
 boundary rows of each level; the Gramian, the control synthesis and the
@@ -41,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
-from .assembly import DiscreteSystem, inner_X2, norm_X2
+from .assembly import BandCholesky, DiscreteSystem, inner_X2, norm_X2
 
 __all__ = [
     "Trajectory",
@@ -131,8 +131,8 @@ def _step_sources(
 class Propagator:
     """The theta-scheme step on the uniform grid of nt steps over [0, T].
 
-    Factors M + theta dt K once; every forward and backward solve on this
-    grid reuses the factorization and C = M - (1 - theta) dt K.
+    Factors M + theta dt K once (``BandCholesky``); every forward and
+    backward solve on this grid reuses the factor and C = M - (1 - theta) dt K.
     """
 
     def __init__(self, sys: DiscreteSystem, T: float, nt: int, theta: float = 0.5):
@@ -147,9 +147,8 @@ class Propagator:
         self.nt = nt
         self.theta = float(theta)
         self.dt = T / nt
-        A = (sys.M + self.theta * self.dt * sys.K).tocsc()
         self.C = (sys.M - (1.0 - self.theta) * self.dt * sys.K).tocsr()
-        self.lu = spla.splu(A)
+        self.factor = BandCholesky(sys.M + self.theta * self.dt * sys.K)
 
     def _state(self, vec, name: str) -> np.ndarray:
         vec = np.asarray(vec, dtype=float)
@@ -171,14 +170,14 @@ class Propagator:
         solve.  A level is solved only when it is asked for, so a caller that
         stops early makes none of the remaining solves.
         """
-        # SuperLU solves column by column, so hand it columns contiguous
+        # the band solve returns Fortran-ordered blocks; X starts in that layout
         cur = np.asfortranarray(X)
         yield cur
         for n in range(self.nt):
             rhs = self.C @ cur
             if ghat is not None:
                 rhs = rhs + self.dt * (self.sys.B @ ghat[n])
-            cur = self.lu.solve(rhs)
+            cur = self.factor.solve(rhs)
             yield cur
 
     def _march(self, X: np.ndarray, ghat, rows) -> tuple[np.ndarray, np.ndarray]:

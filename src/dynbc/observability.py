@@ -8,10 +8,10 @@ solution by the observed boundary quantity:
 It is estimated by sampling seeded random final data of unit M-norm
 (augmented with the lowest generalized eigenvector of (K, M), the natural
 extremal candidate) and taking the largest ratio.  All samples are stepped
-backward together as one block on one factorization of the step matrix,
-keeping only Phi(0) and the boundary rows of each time level.  The per-step
-discrete energy identity and a discrete interpolation inequality for the
-surface operator are verified separately.
+backward together as one block on one band Cholesky factor of the step
+matrix, keeping only Phi(0) and the boundary rows of each time level.  The
+per-step discrete energy identity and a discrete interpolation inequality
+for the surface operator are verified separately.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def estimate_CT(
     the backward solve from a unit-M-norm final datum; the first sample is
     the lowest (K, M) eigenvector, the rest are seeded standard normal
     draws.  The samples are stepped as one (ndof, samples) block on one
-    factorization (``Propagator.backward_boundary``): nt multi-column
+    band Cholesky factor (``Propagator.backward_boundary``): nt multi-column
     solves in all, holding (nt + 1) x n_boundary x samples boundary values.
     Requires beta bounded below by a positive constant, otherwise the
     observation can vanish.  Raises RuntimeError when a sample's energy is

@@ -143,6 +143,57 @@ def test_smallest_eigenpair_raises_at_iteration_cap(monkeypatch):
         smallest_eigenpair(interval_sys(n=12))
 
 
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        (lambda: build_interval_mesh(0, 1, 7), 1),
+        (lambda: build_interval_mesh(-1, 2, 16), 1),
+        (lambda: build_rect_mesh(1.3, 0.7, 7, 5), 7 + 1),
+        (lambda: build_rect_mesh(1.0, 2.0, 3, 9), 3 + 1),
+        (lambda: build_rect_mesh(1.0, 1.0, 12, 12), 12 + 1),
+        (lambda: build_disk_mesh(2.0, 2, 8), 8 + 1),
+        (lambda: build_disk_mesh(1.0, 3, 9), 9 + 1),
+        (lambda: build_disk_mesh(1.0, 5, 15), 15 + 1),
+        (lambda: build_disk_mesh(1.0, 8, 32), 32 + 1),
+    ],
+)
+def test_node_order_bounds_the_half_bandwidth(build, bound):
+    # the band factor stores (kd + 1) ndof doubles: its memory rests on this
+    s = assemble(build(), 1.0, 0.5, 1.0)
+    A = (s.K + s.M).tocoo()
+    assert np.abs(A.row - A.col).max() <= bound
+    assert assembly.BandCholesky(s.K + s.M).kd <= bound
+
+
+def test_band_cholesky_sums_duplicate_entries():
+    # [[4, 1, 0], [1, 5, 2], [0, 2, 6]], every entry of the upper band split in two
+    rows = [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]
+    cols = [0, 0, 1, 1, 0, 1, 1, 2, 2, 1, 2, 2]
+    vals = [3.0, 1.0, 0.5, 0.5, 1.0, 2.0, 3.0, 1.5, 0.5, 2.0, 5.0, 1.0]
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(3, 3))
+    dense = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+    np.testing.assert_array_equal(A.toarray(), dense)
+    factor = assembly.BandCholesky(A)
+    assert factor.kd == 1
+    assert A.nnz == len(vals)  # the caller's matrix is left as it was
+    b = np.array([1.0, -2.0, 3.0])
+    np.testing.assert_allclose(factor.solve(b), np.linalg.solve(dense, b), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [
+        [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+        [[1.0, 1.0], [1.0, 1.0]],  # singular
+        [[2.0, 1.0], [0.0, 2.0]],  # positive definite upper band, not symmetric
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # not square
+    ],
+)
+def test_band_cholesky_refuses_a_non_spd_matrix(dense):
+    with pytest.raises(np.linalg.LinAlgError):
+        assembly.BandCholesky(sp.csr_matrix(np.array(dense)))
+
+
 def test_injection_rows_only_at_boundary():
     mesh = build_rect_mesh(1, 1, 3, 3)
     s = assemble(mesh, gamma=1.0, delta=0.0, beta=1.0)

@@ -22,7 +22,12 @@ from dynbc import (
     weight_bounds,
 )
 from dynbc import carleman
-from dynbc.carleman import _cell_gradient_ops, _nodal_grad_sq
+from dynbc.carleman import (
+    _cell_gradient_ops,
+    _level_weights,
+    _nodal_grad_sq,
+    _space_weights,
+)
 
 
 def unit_interval_setup(n=8, nt=16, beta=1.0):
@@ -282,19 +287,43 @@ def test_sweep_evaluates_weights_once_per_level_and_cell(monkeypatch):
         for R in (1.0, 2.0, 4.0)
     ]
     nt = 16
-    calls = []
+    space_calls, level_calls = [], []
 
-    def counting(params, times):
-        calls.append(np.shape(times))
-        return eval_weights(params, times)
+    def counting_space(params):
+        space_calls.append(params)
+        return _space_weights(params)
 
-    monkeypatch.setattr(carleman, "eval_weights", counting)
+    def counting_level(params, space, t):
+        level_calls.append(np.shape(t))
+        return _level_weights(params, space, t)
+
+    monkeypatch.setattr(carleman, "_space_weights", counting_space)
+    monkeypatch.setattr(carleman, "_level_weights", counting_level)
     for samples in (1, 3):
-        calls.clear()
+        space_calls.clear()
+        level_calls.clear()
         carleman_sweep(s, grid, nt, 0.5, samples, 4)
-        # one call per (interior level, cell), each at a single time
-        assert len(calls) == len(grid) * (nt - 1)
-        assert set(calls) == {()}
+        # xi and p once per cell; theta and exp(-2 R alpha) once per
+        # (interior level, cell), each at a single time
+        assert space_calls == grid
+        assert level_calls == [(1,)] * (len(grid) * (nt - 1))
+
+
+def test_level_weights_bitwise_equal_eval_weights():
+    mesh = build_disk_mesh(1.0, 8, 32)
+    eta = build_eta(mesh)
+    nt = 32
+    times = np.linspace(0.0, 0.5, nt + 1)
+    for lam in (1.0, 4.0, 16.0):
+        for R in (1.0, 2.0, 4.0):
+            params = CarlemanParams(lam=lam, R=R, m=1.5, T=0.5, eta=eta)
+            space = _space_weights(params)
+            for n in range(1, nt):
+                t3x3e, txe = _level_weights(params, space, times[n : n + 1])
+                w = eval_weights(params, times[n])
+                ef = w.exp_factor[0]
+                assert t3x3e.tobytes() == (w.theta**3 * w.xi**3 * ef).tobytes()
+                assert txe.tobytes() == (w.theta * w.xi * ef).tobytes()
 
 
 def test_sweep_makes_no_solve_to_t0(monkeypatch):
@@ -307,9 +336,9 @@ def test_sweep_makes_no_solve_to_t0(monkeypatch):
     class CountingPropagator(Propagator):
         def __init__(self, *args):
             super().__init__(*args)
-            lu = self.lu
-            self.lu = types.SimpleNamespace(
-                solve=lambda rhs: solved.append(rhs.shape) or lu.solve(rhs)
+            factor = self.factor
+            self.factor = types.SimpleNamespace(
+                solve=lambda rhs: solved.append(rhs.shape) or factor.solve(rhs)
             )
 
     monkeypatch.setattr(carleman, "Propagator", CountingPropagator)

@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -30,6 +28,7 @@ from dynbc import (
     verify_null,
 )
 from dynbc import evolution
+from dynbc.assembly import BandCholesky
 
 
 def interval_sys(n=16, gamma=1.0, delta=0.0, beta=1.0):
@@ -346,15 +345,16 @@ def test_trajectory_csv_bytes_equal_loop_oracle(tmp_path):
 
 
 def _loop_step_matrices(sys_, dt, theta):
-    A = (sys_.M + theta * dt * sys_.K).tocsc()
+    # the same factor as Propagator: the stepping loop is under test here
+    A = sys_.M + theta * dt * sys_.K
     C = (sys_.M - (1.0 - theta) * dt * sys_.K).tocsr()
-    return spla.splu(A), C
+    return BandCholesky(A), C
 
 
 def _loop_forward(sys_, U0, g, T, nt, theta):
     """The per-call forward loop that Propagator.forward replaced."""
     dt = T / nt
-    lu, C = _loop_step_matrices(sys_, dt, theta)
+    factor, C = _loop_step_matrices(sys_, dt, theta)
     ghat = evolution._step_sources(sys_, g, nt, theta)
     states = np.empty((nt + 1, sys_.ndof))
     states[0] = U0
@@ -362,17 +362,17 @@ def _loop_forward(sys_, U0, g, T, nt, theta):
         rhs = C @ states[n]
         if ghat is not None:
             rhs = rhs + dt * (sys_.B @ ghat[n])
-        states[n + 1] = lu.solve(rhs)
+        states[n + 1] = factor.solve(rhs)
     return states
 
 
 def _loop_backward(sys_, PhiT, T, nt, theta):
     """The per-call backward loop that Propagator.backward replaced."""
-    lu, C = _loop_step_matrices(sys_, T / nt, theta)
+    factor, C = _loop_step_matrices(sys_, T / nt, theta)
     states = np.empty((nt + 1, sys_.ndof))
     states[nt] = PhiT
     for n in range(nt - 1, -1, -1):
-        states[n] = lu.solve(C @ states[n + 1])
+        states[n] = factor.solve(C @ states[n + 1])
     return states
 
 
@@ -381,6 +381,32 @@ PROPAGATOR_SYSTEMS = {
     "disk8x32": lambda: assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0),
     "rect7x5": lambda: assemble(build_rect_mesh(1.3, 0.7, 7, 5), 1.0, 0.5, 1.0),
 }
+
+
+FACTOR_SYSTEMS = {
+    **PROPAGATOR_SYSTEMS,
+    "disk16x64": lambda: assemble(build_disk_mesh(1.0, 16, 64), 1.0, 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_SYSTEMS))
+def test_band_cholesky_matches_sparse_lu(name):
+    # fixed from the dtype before measuring: 450 ulps, 1e-13
+    tol = 450 * np.finfo(np.float64).eps
+    s = FACTOR_SYSTEMS[name]()
+    dt = 0.7 / 12
+    rng = np.random.default_rng(19)
+    # both theta-step matrices, and K as smallest_eigenpair factors it
+    for A in (s.M + 0.5 * dt * s.K, s.M + dt * s.K, s.K):
+        factor, ref = BandCholesky(A), spla.splu(A.tocsc())
+        B = rng.standard_normal((s.ndof, 5))
+        for b in (B[:, 0], B, np.asfortranarray(B)):
+            kept = b.copy()
+            got, want = factor.solve(b), ref.solve(b)
+            assert got.shape == b.shape
+            np.testing.assert_array_equal(b, kept)
+            err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
+            assert np.all(err <= tol)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -419,8 +445,9 @@ def test_propagator_bitwise_equals_loop_oracle(name, theta):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
 def test_block_backward_matches_one_column_solves(name, theta):
-    # a multi-column SuperLU solve may differ from one-column solves in the
-    # last bits, so the block agrees to a few ulps, a single column bitwise
+    # a multi-column solve may differ from one-column solves in the last
+    # bits on some LAPACK builds, so the block agrees to a few ulps, a
+    # single column bitwise
     s = PROPAGATOR_SYSTEMS[name]()
     T, nt, k = 0.7, 12, 5
     prop = Propagator(s, T, nt, theta)
@@ -463,30 +490,30 @@ def test_levels_yield_what_march_keeps(name, theta):
 def test_levels_solve_only_what_is_asked_for():
     s = PROPAGATOR_SYSTEMS["interval8"]()
     prop = Propagator(s, 0.7, 12, 0.5)
-    prop.lu = counter = _CountingLU(prop.lu)
+    prop.factor = counter = _CountingSolves(prop.factor)
     levels = prop._levels(np.ones(s.ndof))
     for solves in range(4):
         next(levels)
         assert counter.solves == solves
 
 
-class _CountingLU:
+class _CountingSolves:
     """A factorization that counts its solves."""
 
-    def __init__(self, lu):
-        self.lu = lu
+    def __init__(self, factor):
+        self.factor = factor
         self.solves = 0
 
     def solve(self, rhs):
         self.solves += 1
-        return self.lu.solve(rhs)
+        return self.factor.solve(rhs)
 
 
 def test_every_method_makes_nt_solves():
     s = PROPAGATOR_SYSTEMS["disk8x32"]()
     T, nt, k = 0.7, 12, 5
     prop = Propagator(s, T, nt, 0.5)
-    prop.lu = counter = _CountingLU(prop.lu)
+    prop.factor = counter = _CountingSolves(prop.factor)
     rng = np.random.default_rng(15)
     U0 = rng.standard_normal(s.ndof)
     g = BoundarySignal(rng.standard_normal((nt + 1, s.n_boundary)))
@@ -536,19 +563,20 @@ def test_propagator_validation():
 
 
 @pytest.fixture
-def splu_count(monkeypatch):
-    """Sparse LU factorizations made by dynbc.evolution (not by assembly)."""
+def factor_count(monkeypatch):
+    """Band Cholesky factorizations made by dynbc.evolution (not by assembly)."""
     calls = []
 
-    def counting(A, *args, **kwargs):
-        calls.append(A.shape)
-        return spla.splu(A, *args, **kwargs)
+    class Counting(BandCholesky):
+        def __init__(self, A):
+            calls.append(A.shape)
+            super().__init__(A)
 
-    monkeypatch.setattr(evolution, "spla", types.SimpleNamespace(splu=counting))
+    monkeypatch.setattr(evolution, "BandCholesky", Counting)
     return calls
 
 
-def test_one_factorization_per_time_grid(splu_count):
+def test_one_factorization_per_time_grid(factor_count):
     mesh = build_interval_mesh(0, 1, 8)
     s = assemble(mesh, 1.0, 0.0, 1.0)
     U0 = np.random.default_rng(13).standard_normal(s.ndof)
@@ -556,14 +584,14 @@ def test_one_factorization_per_time_grid(splu_count):
     problem = ControlProblem(sys=s, U0=U0, T=1.0, nt=16, eps=1e-4)
     result = synthesize_control(problem)
     assert result.iterations > 1
-    assert len(splu_count) == 1
-    splu_count.clear()
+    assert len(factor_count) == 1
+    factor_count.clear()
     verify_null(problem, result)  # refined grid 2 nt only
-    assert len(splu_count) == 1
-    splu_count.clear()
+    assert len(factor_count) == 1
+    factor_count.clear()
     estimate_CT(s, 1.0, 16, 5, seed=2)
-    assert len(splu_count) == 1
-    splu_count.clear()
+    assert len(factor_count) == 1
+    factor_count.clear()
 
     eta = build_eta(mesh)
     grid = [
@@ -572,4 +600,4 @@ def test_one_factorization_per_time_grid(splu_count):
         for R in (1.0, 2.0)
     ]
     carleman_sweep(s, grid, 16, 0.5, 3, seed=4)
-    assert len(splu_count) == 1
+    assert len(factor_count) == 1

@@ -1,8 +1,5 @@
-import types
-
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from dynbc import (
     ControlProblem,
@@ -21,7 +18,7 @@ from dynbc import (
     synthesize_control,
 )
 from dynbc import evolution, observability
-from dynbc.assembly import _unit_normal_draws
+from dynbc.assembly import BandCholesky, _unit_normal_draws
 
 
 def interval_sys(n=16, beta=1.0):
@@ -87,16 +84,16 @@ def _loop_estimate_CT(sys_, T, nt, samples, seed, theta):
     return per_sample
 
 
-class _CountingLU:
-    """A sparse LU factorization that counts its solve calls."""
+class _CountingFactor(BandCholesky):
+    """A band Cholesky factorization that counts its solve calls."""
 
     def __init__(self, A):
-        self.lu = spla.splu(A)
+        super().__init__(A)
         self.solves = 0
 
     def solve(self, rhs):
         self.solves += 1
-        return self.lu.solve(rhs)
+        return super().solve(rhs)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -110,11 +107,11 @@ def test_estimate_matches_per_sample_loop(mesh, theta, monkeypatch):
     want = _loop_estimate_CT(s, T, nt, samples, 11, theta)
     made = []
 
-    def counting_splu(A):
-        made.append(_CountingLU(A))
+    def counting_factor(A):
+        made.append(_CountingFactor(A))
         return made[-1]
 
-    monkeypatch.setattr(evolution, "spla", types.SimpleNamespace(splu=counting_splu))
+    monkeypatch.setattr(evolution, "BandCholesky", counting_factor)
     rep = estimate_CT(s, T, nt, samples, seed=11, theta=theta)
     assert len(made) == 1
     assert made[0].solves == nt
