@@ -17,10 +17,13 @@ corner nodes receiving half of each adjacent edge weight.
 
 Every symmetric positive definite system the library solves (the theta-step
 matrix M + theta dt K and K itself) is factored once by ``BandCholesky``: a
-LAPACK band Cholesky in the mesh's own node order.  The mesh builders number
-nodes so that the half-bandwidth is 1 on the interval, nx + 1 on the
-rectangle and ntheta + 1 on the disk, so no reordering is needed; the band
-holds (kd + 1) ndof doubles, which grows as ndof^1.5 on 2-D meshes.
+LAPACK band Cholesky.  The mesh builders number nodes so that the
+half-bandwidth kd is 1 on the interval, nx + 1 on the rectangle and
+ntheta + 1 on the disk; the factor keeps that order unless reverse
+Cuthill-McKee gives a narrower band, which holds kd to min(nx, ny) + 2 on a
+rectangle whatever its aspect.  No order does much better on the disk: its
+centre node touches all ntheta nodes of the first ring, so kd >= ntheta / 2.
+The band holds (kd + 1) ndof doubles, which grows as ndof^1.5 on 2-D meshes.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import BulkSurfaceMesh
 
@@ -55,12 +59,14 @@ class ConvergenceError(RuntimeError):
 class BandCholesky:
     """Cholesky factor of a sparse symmetric positive definite matrix.
 
-    The upper band of A, in A's own ordering, is stored densely as LAPACK
-    band storage ``ab[kd + i - j, j] = A[i, j]`` (i <= j) and factored in
-    place by ``dpbtrf``; ``solve`` runs ``dpbtrs``.  kd is the largest
-    j - i over the nonzeros of A.  Duplicate COO entries are summed first.
-    Raises ``numpy.linalg.LinAlgError`` when A is not square and exactly
-    symmetric, or when it is not positive definite.
+    The upper band of A is stored densely as LAPACK band storage
+    ``ab[kd + i - j, j] = A[i, j]`` (i <= j) and factored in place by
+    ``dpbtrf``; ``solve`` runs ``dpbtrs``.  The band is taken in A's own
+    ordering, or in the reverse Cuthill-McKee ordering ``perm`` when that
+    narrows it (``perm`` is None otherwise); kd is the largest |i - j| over
+    the nonzeros of A in the ordering used.  Duplicate COO entries are
+    summed first.  Raises ``numpy.linalg.LinAlgError`` when A is not square
+    and exactly symmetric, or when it is not positive definite.
     """
 
     def __init__(self, A):
@@ -69,9 +75,17 @@ class BandCholesky:
         n = A.shape[0]
         if A.shape != (n, n) or (A != A.T).nnz:
             raise np.linalg.LinAlgError("band Cholesky needs a square symmetric matrix")
-        upper = A.row <= A.col
-        i, j = A.row[upper], A.col[upper]
-        self.kd = int((j - i).max(initial=0))
+        i, j = A.row, A.col
+        self.kd = int(np.abs(i - j).max(initial=0))
+        self.perm = None
+        perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
+        pos = np.empty(n, dtype=perm.dtype)
+        pos[perm] = np.arange(n, dtype=perm.dtype)
+        kd_rcm = int(np.abs(pos[i] - pos[j]).max(initial=0))
+        if kd_rcm < self.kd:
+            self.kd, self.perm, i, j = kd_rcm, perm, pos[i], pos[j]
+        upper = i <= j
+        i, j = i[upper], j[upper]
         ab = np.zeros((self.kd + 1, n), order="F")
         ab[self.kd + i - j, j] = A.data[upper]
         self.ab, info = lapack.dpbtrf(ab, overwrite_ab=1)
@@ -82,7 +96,12 @@ class BandCholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b for an (ndof,) vector or an (ndof, k) block; b is not modified."""
-        x, info = lapack.dpbtrs(self.ab, b)
+        if self.perm is None:
+            x, info = lapack.dpbtrs(self.ab, b)
+        else:
+            y, info = lapack.dpbtrs(self.ab, b[self.perm], overwrite_b=1)
+            x = np.empty_like(y)
+            x[self.perm] = y
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrs failed (info={info})")
         return x

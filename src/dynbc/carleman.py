@@ -100,7 +100,7 @@ def eval_weights(params: CarlemanParams, times: np.ndarray) -> WeightEval:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times <= 0.0) or np.any(times >= params.T):
         raise ValueError("weight evaluation requires times strictly inside (0, T)")
-    xi, _, p = _space_weights(params)
+    xi, p = _space_weights(params)
     theta = 1.0 / (times * (params.T - times))
     alpha = np.outer(theta, p)
     return WeightEval(
@@ -112,23 +112,26 @@ def eval_weights(params: CarlemanParams, times: np.ndarray) -> WeightEval:
     )
 
 
-def _space_weights(params: CarlemanParams) -> tuple[np.ndarray, ...]:
-    """xi, xi^3 and p at the mesh nodes: the parts of the weights free of t."""
+def _space_weights(params: CarlemanParams) -> tuple[np.ndarray, np.ndarray]:
+    """xi and p at the mesh nodes: the parts of the weights free of t."""
     s = params.eta.sup_norm
     xi = np.exp(params.lam * (params.m * s + params.eta.values))
-    return xi, xi**3, np.exp(2.0 * params.lam * params.m * s) - xi
+    return xi, np.exp(2.0 * params.lam * params.m * s) - xi
 
 
 def _level_weights(
-    params: CarlemanParams, space: tuple, t: np.ndarray
+    params: CarlemanParams,
+    xi: np.ndarray,
+    xi3: np.ndarray,
+    p: np.ndarray,
+    t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """theta^3 xi^3 exp(-2 R alpha) and theta xi exp(-2 R alpha) at one time.
 
-    t is a 1-element array and space is ``_space_weights(params)``, so only
-    theta(t) and exp(-2 R alpha) are evaluated.  Each product is formed as
-    from ``eval_weights(params, t)``, with the same bits.
+    t is a 1-element array; xi and p are ``_space_weights(params)`` and xi3
+    is xi**3, so only theta(t) and exp(-2 R alpha) are evaluated.  Each
+    product is formed as from ``eval_weights(params, t)``, with the same bits.
     """
-    xi, xi3, p = space
     theta = 1.0 / (t * (params.T - t))
     ef = np.exp(-2.0 * params.R * np.outer(theta, p))[0]
     return theta**3 * xi3 * ef, theta * xi * ef
@@ -266,7 +269,7 @@ def carleman_sweep(
     times = np.linspace(0.0, prop.T, nt + 1)
     ops = _cell_gradient_ops(sys.mesh)
     bnodes, m_bulk, m_surf = sys.boundary_nodes, sys.m_bulk, sys.m_surf
-    space = [_space_weights(params) for params in params_list]
+    space = [(xi, xi**3, p) for xi, p in map(_space_weights, params_list)]
     # sums[c] holds the bulk, gradient, surface and rhs sums of cell c, by sample
     sums = np.zeros((len(params_list), 4, samples))
     levels = prop._levels(np.column_stack(data))
@@ -278,8 +281,8 @@ def carleman_sweep(
         grad_sq = _nodal_grad_sq(sys, phi, ops)
         phi_b_sq = phi[:, bnodes] ** 2
         comb_sq = (sys.beta * phi[:, bnodes]) ** 2
-        for params, cell_space, cell in zip(params_list, space, sums):
-            t3x3e, txe = _level_weights(params, cell_space, times[n : n + 1])
+        for params, (xi, xi3, p), cell in zip(params_list, space, sums):
+            t3x3e, txe = _level_weights(params, xi, xi3, p, times[n : n + 1])
             # each lumped mass is the vector of a matrix-vector reduction
             cell[0] += (t3x3e * phi_sq) @ m_bulk
             cell[1] += (txe * grad_sq) @ m_bulk

@@ -165,6 +165,16 @@ def test_node_order_bounds_the_half_bandwidth(build, bound):
     assert assembly.BandCholesky(s.K + s.M).kd <= bound
 
 
+@pytest.mark.parametrize("nx, ny", [(64, 2), (2, 64), (2000, 2), (40, 7), (7, 40)])
+def test_band_follows_the_short_side_of_a_rectangle(nx, ny):
+    # node order gives kd = nx + 1; reverse Cuthill-McKee numbers across
+    # the short side when that is narrower
+    s = assemble(build_rect_mesh(1.0, 1.0, nx, ny), 1.0, 0.5, 1.0)
+    factor = assembly.BandCholesky(s.K + s.M)
+    assert factor.kd <= min(nx, ny) + 2
+    assert (factor.perm is None) == (nx <= ny)
+
+
 def test_band_cholesky_sums_duplicate_entries():
     # [[4, 1, 0], [1, 5, 2], [0, 2, 6]], every entry of the upper band split in two
     rows = [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]

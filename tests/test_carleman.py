@@ -293,9 +293,9 @@ def test_sweep_evaluates_weights_once_per_level_and_cell(monkeypatch):
         space_calls.append(params)
         return _space_weights(params)
 
-    def counting_level(params, space, t):
+    def counting_level(params, xi, xi3, p, t):
         level_calls.append(np.shape(t))
-        return _level_weights(params, space, t)
+        return _level_weights(params, xi, xi3, p, t)
 
     monkeypatch.setattr(carleman, "_space_weights", counting_space)
     monkeypatch.setattr(carleman, "_level_weights", counting_level)
@@ -317,9 +317,10 @@ def test_level_weights_bitwise_equal_eval_weights():
     for lam in (1.0, 4.0, 16.0):
         for R in (1.0, 2.0, 4.0):
             params = CarlemanParams(lam=lam, R=R, m=1.5, T=0.5, eta=eta)
-            space = _space_weights(params)
+            xi, p = _space_weights(params)
+            xi3 = xi**3
             for n in range(1, nt):
-                t3x3e, txe = _level_weights(params, space, times[n : n + 1])
+                t3x3e, txe = _level_weights(params, xi, xi3, p, times[n : n + 1])
                 w = eval_weights(params, times[n])
                 ef = w.exp_factor[0]
                 assert t3x3e.tobytes() == (w.theta**3 * w.xi**3 * ef).tobytes()

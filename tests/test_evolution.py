@@ -386,6 +386,8 @@ PROPAGATOR_SYSTEMS = {
 FACTOR_SYSTEMS = {
     **PROPAGATOR_SYSTEMS,
     "disk16x64": lambda: assemble(build_disk_mesh(1.0, 16, 64), 1.0, 0.5, 1.0),
+    # banded in reverse Cuthill-McKee order: the factor permutes every solve
+    "rect40x3": lambda: assemble(build_rect_mesh(1.0, 0.2, 40, 3), 1.0, 0.5, 1.0),
 }
 
 
