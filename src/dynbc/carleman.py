@@ -327,7 +327,7 @@ def weight_bounds(params: CarlemanParams, times: np.ndarray) -> dict:
 
     mid = (w.times >= params.T / 4.0) & (w.times <= 3.0 * params.T / 4.0)
     s = params.eta.sup_norm
-    p = np.exp(2.0 * params.lam * params.m * s) - w.xi
+    _, p = _space_weights(params)
     theta_t = (2.0 * w.times - params.T) / (w.times * (params.T - w.times)) ** 2
     alpha_t = np.outer(theta_t, p)
     varsigma1 = float(np.max(np.abs(alpha_t) / theta_xi**2))

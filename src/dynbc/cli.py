@@ -352,7 +352,6 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute one experiment; writes artifacts and manifest, returns exit status."""
     data = config.raw
     out = out_dir or data.get("output_dir") or "."
-    os.makedirs(out, exist_ok=True)
 
     manifest = {
         "config": data,
@@ -370,6 +369,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     try:
         mesh = _build_mesh(data["geometry"])
         beta = _build_beta(mesh, data["beta"], data["beta0"])
+        # made once the config has passed its last check, the beta0 bound
+        os.makedirs(out, exist_ok=True)
         sys_ = assemble(mesh, data["gamma"], data["delta"], beta)
         task = data["task"]
         runner = {
@@ -391,6 +392,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         manifest["summary"] = {
             k: v if math.isfinite(v) else None for k, v in manifest["summary"].items()
         }
+        os.makedirs(out, exist_ok=True)
         _write_json(os.path.join(out, "manifest.json"), manifest)
         return 1
 

@@ -114,6 +114,10 @@ def build_interval_mesh(a: float, b: float, n: int) -> BulkSurfaceMesh:
 def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
     """Structured triangulation of [0, lx] x [0, ly]; squares split along one diagonal.
 
+    Nodes are numbered along the shorter side fastest: x fastest when
+    nx <= ny, y fastest when nx > ny.  The stiffness then couples a node
+    only to nodes at most min(nx, ny) + 1 numbers away (across each
+    square's diagonal it is exactly zero): the band factor's half-bandwidth.
     Boundary nodes are ordered counterclockwise starting at the origin;
     corner normals are the normalized sum of the two adjacent side normals
     and the four corner positions are reported in
@@ -125,9 +129,14 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
         raise ValueError(f"cell counts must be >= 2, got nx={nx}, ny={ny}")
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    nid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # nid[j, i]
+    # Grid indices (i, j) of each node, in node order.
+    J, I = np.indices((ny + 1, nx + 1))
+    if nx > ny:
+        J, I = J.T, I.T
+    I, J = I.ravel(), J.ravel()
+    nodes = np.column_stack([xs[I], ys[J]])
+    nid = np.empty((ny + 1, nx + 1), dtype=int)  # nid[j, i]
+    nid[J, I] = np.arange(I.size)
 
     # Two triangles per square, squares row by row.
     p00, p10 = nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel()
@@ -141,7 +150,7 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
     edges = np.column_stack([boundary, np.roll(boundary, -1)])
 
     # Sum of the normals of the sides a node lies on; corners lie on two.
-    i, j = boundary % (nx + 1), boundary // (nx + 1)
+    i, j = I[boundary], J[boundary]
     side_sum = np.column_stack(
         [(i == nx).astype(float) - (i == 0), (j == ny).astype(float) - (j == 0)]
     )

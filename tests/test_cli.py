@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dynbc
 from dynbc import cli
 from dynbc.cli import ConfigError, ExperimentConfig, main, run
 
@@ -46,20 +50,43 @@ def test_zero_simulation(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     sim = base_config()
     sim["params"] = {"u0": {"kind": "random", "seed": 3}, "g": {"kind": "random", "seed": 4}}
+    # nx > ny: the rectangle numbers its nodes along y fastest
+    rect = base_config(
+        geometry={"kind": "rect", "lx": 1.3, "ly": 0.7, "nx": 9, "ny": 4},
+        params=sim["params"],
+        delta=0.5,
+    )
     obs = base_config(task="observability")
     obs["geometry"] = {"kind": "disk", "rho": 1.0, "nr": 4, "ntheta": 16}
     obs["params"] = {"samples": 6, "seed": 2}
     for cfg, artifact in (
         (sim, "simulate_trajectory.csv"),
+        (rect, "simulate_trajectory.csv"),
         (obs, "observability_samples.csv"),
     ):
-        path = write_config(tmp_path, cfg, name=f"{cfg['task']}.json")
+        kind = cfg["geometry"]["kind"]
+        path = write_config(tmp_path, cfg, name=f"{cfg['task']}_{kind}.json")
         outs = []
         for name in ("a", "b"):
-            out = tmp_path / cfg["task"] / name
+            out = tmp_path / cfg["task"] / kind / name
             assert main(["run", path, "--out", str(out)]) == 0
             outs.append((out / artifact).read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_import_loads_no_sparse_linalg():
+    # a fresh interpreter: this test session has loaded scipy.sparse.linalg itself
+    src = os.path.dirname(os.path.dirname(dynbc.__file__))
+    code = (
+        "import sys, dynbc.cli; "
+        "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') "
+        "if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_round_trip_hash_stable(tmp_path):
@@ -216,6 +243,8 @@ def test_beta0_checked_against_profile(tmp_path):
     config = ExperimentConfig.from_dict(cfg)
     with pytest.raises(ConfigError):
         run(config, out_dir=str(tmp_path / "out"))
+    # a rejected config leaves no output directory behind
+    assert not (tmp_path / "out").exists()
 
 
 def test_control_eps_sweep_artifacts(tmp_path):

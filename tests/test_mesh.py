@@ -160,8 +160,14 @@ def _loop_rect_arrays(lx, ly, nx, ny):
     """Per-node loop construction of the rectangle: the reference for the array code."""
 
     def nid(i, j):
-        return j * (nx + 1) + i
+        # the shorter side is numbered fastest
+        return j * (nx + 1) + i if nx <= ny else i * (ny + 1) + j
 
+    xs, ys = np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1)
+    nodes = np.zeros(((nx + 1) * (ny + 1), 2))
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            nodes[nid(i, j)] = (xs[i], ys[j])
     cells = []
     for j in range(ny):
         for i in range(nx):
@@ -190,6 +196,7 @@ def _loop_rect_arrays(lx, ly, nx, ny):
         v = contribs.sum(axis=0)
         normals[k] = v / np.linalg.norm(v)
     return {
+        "bulk_nodes": nodes,
         "bulk_cells": np.array(cells, dtype=int),
         "boundary_nodes": boundary,
         "boundary_edges": np.column_stack([boundary, np.roll(boundary, -1)]),
@@ -270,12 +277,14 @@ def test_eta_laplacian_matches_second_differences():
     nx, ny, lx, ly = 8, 6, 1.3, 0.7
     m = build_rect_mesh(lx, ly, nx, ny)
     eta = build_eta(m)
-    v = eta.values.reshape(ny + 1, nx + 1)
+    # nodes on the (ny + 1, nx + 1) grid, whatever order the builder numbers them in
+    grid = np.lexsort((m.bulk_nodes[:, 0], m.bulk_nodes[:, 1])).reshape(ny + 1, nx + 1)
+    v = eta.values[grid]
     hx, hy = lx / nx, ly / ny
     lap = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hx**2 + (
         v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]
     ) / hy**2
-    got = eta.laplacian.reshape(ny + 1, nx + 1)[1:-1, 1:-1]
+    got = eta.laplacian[grid][1:-1, 1:-1]
     np.testing.assert_allclose(got, lap, rtol=1e-9)
 
     m = build_interval_mesh(-0.5, 1.5, 10)
