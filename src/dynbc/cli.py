@@ -32,7 +32,8 @@ Task parameters:
     control:       u0 (field spec), eps (number or list), cg_tol, cg_maxit
                    (the last two optional)
 
-carleman and control need nt >= 2.  Every number in a config must be
+carleman and control need nt >= 2; observability and an eigenmode field
+need beta > 0 at every boundary node.  Every number in a config must be
 finite and not a boolean: JSON extensions such as NaN and Infinity are
 rejected.
 
@@ -46,8 +47,8 @@ failed run lists only the files it finished writing).  CSV artifacts
 carry the config hash in a comment header and are byte-identical across
 runs with the same config and seed.  Exit codes: 0 success, 1 numerical
 failure (manifest flags it; this includes a non-finite value that would
-have to be written to JSON), 2 invalid config (single-line error naming the
-offending field).
+have to be written to JSON), 2 invalid config or an output directory that
+cannot be created (single-line error naming the offending field).
 """
 
 from __future__ import annotations
@@ -369,10 +370,21 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     try:
         mesh = _build_mesh(data["geometry"])
         beta = _build_beta(mesh, data["beta"], data["beta0"])
-        # made once the config has passed its last check, the beta0 bound
-        os.makedirs(out, exist_ok=True)
-        sys_ = assemble(mesh, data["gamma"], data["delta"], beta)
         task = data["task"]
+        # the observability estimate and the lowest (K, M) eigenmode need K
+        # positive definite; validation allows eigenmode in field specs only
+        eigenmode = any(
+            isinstance(v, dict) and v.get("kind") == "eigenmode"
+            for v in data["params"].values()
+        )
+        if (task == "observability" or eigenmode) and not beta.min() > 0:
+            raise ConfigError(
+                "beta: must be > 0 at every boundary node for observability or "
+                f"an eigenmode field, got min beta = {beta.min()}"
+            )
+        # made once the config has passed its last check, on beta
+        _make_out_dir(out, out_dir)
+        sys_ = assemble(mesh, data["gamma"], data["delta"], beta)
         runner = {
             "simulate": _run_simulate,
             "adjoint": _run_adjoint,
@@ -392,9 +404,19 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         manifest["summary"] = {
             k: v if math.isfinite(v) else None for k, v in manifest["summary"].items()
         }
-        os.makedirs(out, exist_ok=True)
+        _make_out_dir(out, out_dir)
         _write_json(os.path.join(out, "manifest.json"), manifest)
         return 1
+
+
+def _make_out_dir(out: str, out_dir: str | None) -> None:
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        field = "--out" if out_dir else "output_dir"
+        raise ConfigError(
+            f"{field}: cannot create directory {out!r}: {exc.strerror or exc}"
+        ) from None
 
 
 @contextmanager

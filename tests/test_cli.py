@@ -323,17 +323,56 @@ def test_observability_task(tmp_path):
     assert len(rows) == 2 + 5
 
 
-def test_observability_beta_zero_fails_gracefully(tmp_path):
-    cfg = base_config(task="observability")
+_BETA_NEEDS = {
+    "observability": {"samples": 2, "seed": 2},
+    "simulate": {"u0": {"kind": "eigenmode"}, "g": {"kind": "zero"}},
+    "adjoint": {"phi_T": {"kind": "eigenmode"}},
+    "control": {"u0": {"kind": "eigenmode"}, "eps": 1e-4},
+}
+
+
+@pytest.mark.parametrize("task", sorted(_BETA_NEEDS))
+def test_beta_with_a_zero_exit_2(tmp_path, capsys, task):
+    # observability and the lowest eigenmode need K positive definite
+    cfg = base_config(task=task, params=_BETA_NEEDS[task], beta0=0.0)
     cfg["beta"] = {"kind": "constant", "value": 0.0}
-    cfg["beta0"] = 0.0
-    cfg["params"] = {"samples": 2, "seed": 2}
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out)]) == 1
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
-    assert "beta" in manifest["error"]
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: beta:")
+    assert not out.exists()
+    # a zero of the profile counts; beta > 0 everywhere runs
+    cfg["beta"] = {"kind": "profile", "name": "cosine_bump", "base": 0.0,
+                   "amplitude": 1.0}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: beta:")
+    cfg["beta"]["base"] = 0.5
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+
+def test_beta_zero_runs_tasks_that_need_no_eigenmode(tmp_path):
+    cfg = base_config(beta0=0.0)
+    cfg["beta"] = {"kind": "constant", "value": 0.0}
+    cfg["params"]["u0"] = {"kind": "constant", "value": 1.0}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("where", ["--out file", "--out file/sub", "output_dir file/sub"])
+def test_uncreatable_output_dir_exit_2(tmp_path, capsys, monkeypatch, where):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("keep")
+    field, out = where.split()
+    cfg = base_config(output_dir=out) if field == "output_dir" else base_config()
+    path = write_config(tmp_path, cfg)
+    argv = ["run", path] + (["--out", out] if field == "--out" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {field}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+    assert (tmp_path / "file").read_text() == "keep"
 
 
 def test_config_hash_in_all_artifacts(tmp_path):

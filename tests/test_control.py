@@ -331,9 +331,15 @@ def test_ladder_applies_gramian_once_per_seed_iteration(ladder_case, monkeypatch
         return gramian_apply(prop, PhiT)
 
     monkeypatch.setattr(dynbc.control, "gramian_apply", counting)
-    results = synthesize_ladder(ladder_problems(ladder_case, LADDER))
-    assert len(applies) == results[-1].iterations
-    assert [r.iterations for r in results] == sorted(r.iterations for r in results)
+    # the second ladder is unsorted and repeats its seed eps
+    for eps_list in (LADDER, (1e-4, 1e-6, 1e-2, 1e-6)):
+        applies.clear()
+        results = synthesize_ladder(ladder_problems(ladder_case, eps_list))
+        seed = results[eps_list.index(min(eps_list))]
+        assert len(applies) == seed.iterations
+        by_falling_eps = [r.iterations for _, r in sorted(
+            zip(eps_list, results), key=lambda pair: -pair[0])]
+        assert by_falling_eps == sorted(by_falling_eps)
 
 
 def test_ladder_keeps_input_order_for_unsorted_and_repeated_eps(ladder_case):
