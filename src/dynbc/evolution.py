@@ -4,12 +4,13 @@ The forward system is stepped with the theta-scheme
 
     (M + theta dt K) U^{n+1} = (M - (1 - theta) dt K) U^n + dt B g_hat^n,
 
-with theta = 0.5 (Crank-Nicolson) or 1 (implicit Euler) and the linear
-solves done by the band Cholesky factor ``assembly.BandCholesky``.  A
-``Propagator`` holds that factor for one uniform time grid, so every solve
-on the grid shares one factorization; ``solve_forward`` and
-``solve_backward`` build a Propagator per call.  Every solve runs one
-stepping loop, ``Propagator._march``.
+with theta = 0.5 (Crank-Nicolson) or 1 (implicit Euler).  M is lumped, so
+the right-hand matrix is M / theta - ((1 - theta) / theta) A with
+A = M + theta dt K, and a step is one solve with the band Cholesky factor
+of A (``assembly.BandCholesky``) and no sparse product.  A ``Propagator``
+holds that factor for one uniform time grid, so every solve on the grid
+shares one factorization; ``solve_forward`` and ``solve_backward`` build a
+Propagator per call.  Every solve runs one stepping loop, ``Propagator._levels``.
 ``Propagator.backward_boundary`` steps many final data at once as the
 columns of one block, one multi-column solve per step, and keeps only the
 boundary rows of each level; the Gramian, the control synthesis and the
@@ -131,8 +132,8 @@ def _step_sources(
 class Propagator:
     """The theta-scheme step on the uniform grid of nt steps over [0, T].
 
-    Factors M + theta dt K once (``BandCholesky``); every forward and
-    backward solve on this grid reuses the factor and C = M - (1 - theta) dt K.
+    Factors A = M + theta dt K once (``BandCholesky``); every forward and
+    backward solve on this grid reuses the factor and the diagonal of M.
     """
 
     def __init__(self, sys: DiscreteSystem, T: float, nt: int, theta: float = 0.5):
@@ -147,7 +148,6 @@ class Propagator:
         self.nt = nt
         self.theta = float(theta)
         self.dt = T / nt
-        self.C = (sys.M - (1.0 - self.theta) * self.dt * sys.K).tocsr()
         self.factor = BandCholesky(sys.M + self.theta * self.dt * sys.K)
 
     def _state(self, vec, name: str) -> np.ndarray:
@@ -165,20 +165,24 @@ class Propagator:
     def _levels(self, X: np.ndarray, ghat=None):
         """Yield X, then each of the nt levels after it as it is stepped.
 
-        X is one state (ndof,) or a block (ndof, k) stepped as one: per step
-        one product with C, plus dt B ghat[n] when there is a source, and one
-        solve.  A level is solved only when it is asked for, so a caller that
-        stops early makes none of the remaining solves.
+        X is one state (ndof,) or a block (ndof, k) stepped as one:
+        X^{n+1} = A^{-1} (M X^n / theta + dt B g_hat^n) - ((1 - theta) / theta) X^n,
+        with dt B g_hat^n added to the boundary rows as dt (m_surf g_hat^n).
+        A level is solved only when it is asked for, so a caller that stops
+        early makes none of the remaining solves.  Each level is a new
+        array; a block stays in the Fortran order the band solve reads.
         """
-        # the band solve returns Fortran-ordered blocks; X starts in that layout
         cur = np.asfortranarray(X)
         yield cur
+        mass = np.expand_dims(self.sys.M_diag / self.theta, tuple(range(1, cur.ndim)))
+        source = None if ghat is None else self.dt * (self.sys.m_surf * ghat)
         for n in range(self.nt):
-            rhs = self.C @ cur
-            if ghat is not None:
-                rhs = rhs + self.dt * (self.sys.B @ ghat[n])
-            cur = self.factor.solve(rhs)
-            yield cur
+            rhs = mass * cur
+            if source is not None:
+                rhs[self.sys.boundary_nodes] += source[n]
+            nxt = self.factor.solve(rhs)  # a copy: rhs is free again
+            nxt -= np.multiply((1.0 - self.theta) / self.theta, cur, out=rhs)
+            yield (cur := nxt)
 
     def _march(self, X: np.ndarray, ghat, rows) -> tuple[np.ndarray, np.ndarray]:
         """(last, kept): X after nt steps, and kept[n] = rows of level n.
@@ -187,11 +191,8 @@ class Propagator:
         for a trajectory, the boundary nodes for a trace, slice(0) for
         nothing; kept is in stepping order.
         """
-        levels = self._levels(X, ghat)
-        cur = next(levels)
-        kept = np.empty((self.nt + 1,) + cur[rows].shape)
-        kept[0] = cur[rows]
-        for n, cur in enumerate(levels, start=1):
+        kept = np.empty((self.nt + 1,) + X[rows].shape)
+        for n, cur in enumerate(self._levels(X, ghat)):
             kept[n] = cur[rows]
         return cur, kept
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -106,20 +108,20 @@ def test_duality_residual_zero_data():
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_duality_residual_random(theta):
-    s = interval_sys()
     rng = np.random.default_rng(11)
-    U0 = rng.standard_normal(s.ndof)
-    PhiT = rng.standard_normal(s.ndof)
-    g = BoundarySignal(rng.standard_normal((33, s.n_boundary)))
-    f = solve_forward(s, U0, g, 1.0, 32, theta)
-    adj = solve_backward(s, PhiT, 1.0, 32, theta)
-    res = duality_residual(s, f, adj, g)
-    scale = max(
-        abs(inner_X2(s, f.states[-1], adj.states[-1])),
-        abs(inner_X2(s, f.states[0], adj.states[0])),
-        1.0,
-    )
-    assert res <= 1e-10 * scale
+    for s in [interval_sys(), *(build() for build in PROPAGATOR_SYSTEMS.values())]:
+        U0 = rng.standard_normal(s.ndof)
+        PhiT = rng.standard_normal(s.ndof)
+        g = BoundarySignal(rng.standard_normal((33, s.n_boundary)))
+        f = solve_forward(s, U0, g, 1.0, 32, theta)
+        adj = solve_backward(s, PhiT, 1.0, 32, theta)
+        res = duality_residual(s, f, adj, g)
+        scale = max(
+            abs(inner_X2(s, f.states[-1], adj.states[-1])),
+            abs(inner_X2(s, f.states[0], adj.states[0])),
+            1.0,
+        )
+        assert res <= 1e-10 * scale
 
 
 def test_duality_residual_rejects_mismatch():
@@ -344,36 +346,66 @@ def test_trajectory_csv_bytes_equal_loop_oracle(tmp_path):
     assert got.read_bytes() == oracle.read_bytes()
 
 
-def _loop_step_matrices(sys_, dt, theta):
-    # the same factor as Propagator: the stepping loop is under test here
-    A = sys_.M + theta * dt * sys_.K
+def _loop_step(sys_, dt, theta, lagged):
+    """One theta-step X, g_hat -> X' of the loop oracle.
+
+    The product rule forms C X with the sparse C = M - (1 - theta) dt K, as
+    the stepping loop did before Propagator; the lagged rule is Propagator's
+    A^{-1} (M X / theta + dt B g_hat) - ((1 - theta) / theta) X.  Both use
+    Propagator's factor of A = M + theta dt K: the stepping is under test.
+    """
+    factor = BandCholesky(sys_.M + theta * dt * sys_.K)
     C = (sys_.M - (1.0 - theta) * dt * sys_.K).tocsr()
-    return BandCholesky(A), C
+
+    def product(x, g):
+        rhs = C @ x
+        if g is not None:
+            rhs = rhs + dt * (sys_.B @ g)
+        return factor.solve(rhs)
+
+    def lag(x, g):
+        rhs = sys_.M_diag / theta * x
+        if g is not None:
+            rhs[sys_.boundary_nodes] += dt * (sys_.m_surf * g)
+        return factor.solve(rhs) - (1.0 - theta) / theta * x
+
+    return lag if lagged else product
 
 
-def _loop_forward(sys_, U0, g, T, nt, theta):
+def _loop_forward(sys_, U0, g, T, nt, theta, lagged=False):
     """The per-call forward loop that Propagator.forward replaced."""
     dt = T / nt
-    factor, C = _loop_step_matrices(sys_, dt, theta)
+    step = _loop_step(sys_, dt, theta, lagged)
     ghat = evolution._step_sources(sys_, g, nt, theta)
     states = np.empty((nt + 1, sys_.ndof))
     states[0] = U0
     for n in range(nt):
-        rhs = C @ states[n]
-        if ghat is not None:
-            rhs = rhs + dt * (sys_.B @ ghat[n])
-        states[n + 1] = factor.solve(rhs)
+        states[n + 1] = step(states[n], None if ghat is None else ghat[n])
     return states
 
 
-def _loop_backward(sys_, PhiT, T, nt, theta):
+def _loop_backward(sys_, PhiT, T, nt, theta, lagged=False):
     """The per-call backward loop that Propagator.backward replaced."""
-    factor, C = _loop_step_matrices(sys_, T / nt, theta)
+    step = _loop_step(sys_, T / nt, theta, lagged)
     states = np.empty((nt + 1, sys_.ndof))
     states[nt] = PhiT
     for n in range(nt - 1, -1, -1):
-        states[n] = factor.solve(C @ states[n + 1])
+        states[n] = step(states[n + 1], None)
     return states
+
+
+# fixed from the dtype before measuring: a step of either rule rounds a few
+# times per entry (right-hand side, the two triangular sweeps of the shared
+# factor, the lagged subtraction), and the M-contractive step does not
+# amplify earlier rounding, so the rules drift apart by a bounded number of
+# ulps per step
+PRODUCT_RULE_GAP = 64 * np.finfo(np.float64).eps
+
+
+def _max_level_gap(sys_, got, want):
+    """Largest relative M-norm distance of the levels, over the level index n."""
+    gaps = [rel_err(sys_, a, b) / max(n, 1) for n, (a, b) in enumerate(zip(got, want))]
+    return max(gaps)
 
 
 PROPAGATOR_SYSTEMS = {
@@ -414,6 +446,11 @@ def test_band_cholesky_matches_sparse_lu(name):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
 def test_propagator_bitwise_equals_loop_oracle(name, theta):
+    # at theta = 1 the lagged step is the product step bit for bit (C = M,
+    # (1 - theta) / theta = 0), so the oracle is the product loop itself; at
+    # theta = 1/2 it is the loop of the lagged rule, and the product loop
+    # agrees within PRODUCT_RULE_GAP per step
+    lagged = theta != 1.0
     s = PROPAGATOR_SYSTEMS[name]()
     T, nt = 0.7, 12
     rng = np.random.default_rng(12)
@@ -426,7 +463,7 @@ def test_propagator_bitwise_equals_loop_oracle(name, theta):
     ]
     prop = Propagator(s, T, nt, theta)
     for g in signals:
-        want = _loop_forward(s, U0, g, T, nt, theta)
+        want = _loop_forward(s, U0, g, T, nt, theta, lagged)
         got = prop.forward(U0, g)
         assert got.states.tobytes() == want.tobytes()
         assert got.dt == T / nt and got.theta == theta
@@ -434,10 +471,14 @@ def test_propagator_bitwise_equals_loop_oracle(name, theta):
         assert solve_forward(s, U0, g, T, nt, theta).states.tobytes() == want.tobytes()
         final = prop.forward_final(U0, g)
         assert final.tobytes() == got.states[-1].tobytes()
-    want = _loop_backward(s, PhiT, T, nt, theta)
+        product = _loop_forward(s, U0, g, T, nt, theta)
+        assert _max_level_gap(s, got.states, product) <= PRODUCT_RULE_GAP
+    want = _loop_backward(s, PhiT, T, nt, theta, lagged)
     adj = prop.backward(PhiT)
     assert adj.states.tobytes() == want.tobytes()
     assert solve_backward(s, PhiT, T, nt, theta).states.tobytes() == want.tobytes()
+    product = _loop_backward(s, PhiT, T, nt, theta)
+    assert _max_level_gap(s, adj.states[::-1], product[::-1]) <= PRODUCT_RULE_GAP
     levels = theta * adj.states[:-1] + (1.0 - theta) * adj.states[1:]
     _, bound = prop.backward_boundary(PhiT)
     trace = evolution._theta_levels(bound, theta)
@@ -487,6 +528,34 @@ def test_levels_yield_what_march_keeps(name, theta):
         assert np.array(levels).tobytes() == kept.tobytes()
         assert last.tobytes() == levels[-1].tobytes()
         assert last.flags.f_contiguous == levels[-1].flags.f_contiguous
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
+def test_step_is_self_adjoint_in_M(name, theta):
+    # <S x, y>_M = <x, S y>_M for the one-step propagator S
+    s = PROPAGATOR_SYSTEMS[name]()
+    prop = Propagator(s, 0.7, 12, theta)
+    x, y = np.random.default_rng(20).standard_normal((2, s.ndof))
+    Sx, Sy = (list(itertools.islice(prop._levels(v), 2))[1] for v in (x, y))
+    a, b = inner_X2(s, Sx, y), inner_X2(s, x, Sy)
+    assert abs(a - b) <= 1e-11 * max(abs(a), abs(b), 1.0)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
+def test_block_levels_are_new_fortran_arrays(name, theta):
+    # the band solve reads a Fortran-ordered block without a copy, and a
+    # caller may keep every level, as list(_levels(...)) does
+    s = PROPAGATOR_SYSTEMS[name]()
+    prop = Propagator(s, 0.7, 12, theta)
+    X = np.random.default_rng(21).standard_normal((s.ndof, 5))
+    for block in (X, np.asfortranarray(X)):
+        levels = list(prop._levels(block))
+        assert all(level.flags.f_contiguous for level in levels)
+        for n, level in enumerate(levels[1:], start=1):
+            assert not np.shares_memory(level, block)
+            assert not any(np.shares_memory(level, prev) for prev in levels[:n])
 
 
 def test_levels_solve_only_what_is_asked_for():
