@@ -4,7 +4,7 @@ A numpy/scipy library for the coupled bulk-surface heat system: conforming
 discretization with trace-coupled degrees of freedom, forward and adjoint
 theta-scheme solvers matched in transpose, Carleman-weight evaluation,
 observability-constant estimation, and boundary null-control synthesis by a
-penalized Gramian solved with conjugate gradients.
+penalized Gramian solved by Lanczos with a fully reorthogonalized basis.
 """
 
 from .assembly import (

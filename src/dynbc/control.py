@@ -11,22 +11,21 @@ the exact transpose of the forward step.  The penalized problem
 
     (Lambda + eps I) PhiHat_T = final state of the free forward solve of U0
 
-is solved by conjugate gradients in the M inner product (each operator
-application is one backward plus one forward solve, all on one factored
-Propagator).  A ladder of penalties shares Lambda and the right-hand side,
-so a ``ControlLadder`` solves every rung in one Krylov space by multi-shift
-CG: the smallest eps is the seed, whose search direction gets the one
-Gramian apply per iteration, and every rung, the seed included, follows one
-rule: it tracks its residual as a scalar multiple zeta of the seed's and
-stops at the first iteration where that residual is within cg_tol of
-||b||_M.  The seed's zeta stays exactly 1, so its rung is bit for bit the
-plain CG of its eps alone; the others agree with theirs to the CG tolerance.
-``synthesize_ladder`` runs ``synthesize_control`` on every rung of one
-ladder; the first call makes the shared solve.
+is solved in the M inner product by Lanczos with a fully reorthogonalized
+basis, whose iterates are those of conjugate gradients in exact arithmetic
+(each operator application is one backward plus one forward solve, all on
+one factored Propagator).  A ladder of penalties shares Lambda and the
+right-hand side, and the Krylov basis does not depend on the shift, so a
+``ControlLadder`` solves every rung in one basis with one Gramian apply per
+iteration: each rung solves its own small tridiagonal system and stops at
+the first iteration where its residual is within cg_tol of ||b||_M, and is
+bit for bit the solve of its eps alone.  ``synthesize_ladder`` runs
+``synthesize_control`` on every rung of one ladder; the first call makes
+the shared solve.
 
 The control is the negated theta-level adjoint trace, g = -phi_G, and
 drives the state to exactly U(T) = eps PhiHat_T, up to the
-conjugate-gradient residual; at optimality the discrete analog of the
+Krylov-solve residual; at optimality the discrete analog of the
 duality condition
 
     -integral of g phi_G + eps ||PhiHat_T||_M^2 = <U0, PhiHat(0)>_M
@@ -144,95 +143,108 @@ def gramian_apply(prop: Propagator, PhiT: np.ndarray) -> np.ndarray:
     return prop.forward_final(np.zeros(prop.sys.ndof), BoundarySignal(trace))
 
 
-@dataclass(eq=False)  # identity equality: rungs with equal shifts stay distinct
-class _Rung:
-    """Iterate of one shift, carried by the seed's Krylov space.
+def _ritz_iterate(V, betas, pivots, rhs):
+    """x = V_k y with (T_k + s I) y = e_1 ||b||_M, where k = len(pivots).
 
-    Its residual is zeta times the seed's residual; zeta_old is the value one
-    iteration earlier.
+    pivots holds D and rhs holds L^{-1} e_1 ||b||_M of the factorization
+    T_k + s I = L D L^T, whose unit lower bidiagonal L has l_j =
+    betas[j-1] / pivots[j-1] below the diagonal; this is the back
+    substitution L^T y = D^{-1} rhs.  At k = 0 it is x = 0.
     """
-
-    offset: float  # shift minus the seed's shift, >= 0
-    x: np.ndarray
-    p: np.ndarray
-    zeta: float = 1.0
-    zeta_old: float = 1.0
-    iterations: int = 0
-    converged: bool = False
+    k = len(pivots)
+    y = np.empty(k)
+    for j in reversed(range(k)):
+        y[j] = rhs[j] / pivots[j]
+        if j + 1 < k:
+            y[j] -= betas[j] / pivots[j] * y[j + 1]
+    return y @ V[:k]
 
 
 def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
-    """Multi-shift conjugate gradients in the M inner product.
+    """Multi-shift Lanczos with full reorthogonalization in the M inner product.
 
     Solves (A + s I) x_s = b for every s in shifts, where A = apply_op is
-    M-self-adjoint and A + s I is SPD, in one Krylov space (Jegerlehner,
-    arXiv:hep-lat/9612014).  The seed is the smallest shift: its search
-    direction gets the one apply of A per iteration, q = A p + s_min p.
-    Every shift, the seed included, is a rung with one rule: its residual is
-    r_s = zeta_s r, its iterate moves along its own direction, and it freezes
-    at the first iteration where |zeta_s| ||r||_M <= tol ||b||_M.  For the
-    seed the offset is 0 and zeta_old = zeta = 1, so the zeta denominator is
-    exactly alpha_old, zeta stays exactly 1.0, and the rung's updates are
-    plain CG's bit for bit.
+    M-self-adjoint and A + s I is SPD, in one Krylov space with one apply
+    of A per iteration.  The basis V_k starts from b / ||b||_M; each new
+    vector A v_k is made M-orthogonal to every kept vector by two classical
+    Gram-Schmidt passes (Simon, Math. Comp. 42, 1984), which keeps the
+    Lanczos matrix T_k free of the spurious copies of converged Ritz values
+    that a short recurrence picks up.  T_k is tridiagonal: alpha_k is the
+    projection of A v_k on v_k, beta_{k+1} the M-norm of what is left.
+
+    Per shift, y_s = (T_k + s I)^{-1} e_1 ||b||_M is updated through the
+    pivots of T_k + s I = L D L^T, and the shift freezes at the first k with
+    beta_{k+1} |e_k^T y_s| <= tol ||b||_M: in exact arithmetic that is the
+    residual of the k-th CG iterate, so this is plain CG's stopping rule and
+    iterate.  x_s = V_k y_s is formed once, when the shift freezes.  The
+    basis does not depend on the shifts, so every shift's result is bit for
+    bit the solve of that shift alone.
 
     Returns one (x, iterations, converged) per entry of shifts, in order,
-    each with its own x (a repeated shift is its own rung, with the same
-    bits).  The solve ends when the seed's rung freezes.  With every seed
-    curvature <p, q>_M positive the Lanczos matrix is SPD, its Ritz values
-    positive, so 0 < zeta < 1 for every positive offset and a larger shift
-    freezes no later than the seed.  Rungs still iterating stop unconverged
-    only at maxit or at a seed curvature that is not positive and finite
-    (not SPD on the Krylov space), at the last iterate; a zeta denominator
-    that is zero or not finite stops its rung alone the same way.
+    each with its own x.  A shift stops unconverged at its last good
+    iterate (x = 0 at k = 0) when T_k + s I has a pivot that is not
+    positive and finite; every remaining shift stops so when alpha_k or
+    the new vector is not finite, and at the current iterate at maxit, when
+    the basis has ndof vectors, or when beta_{k+1} is 0.  The basis grows
+    with k: after k iterations it holds at most k + 1 vectors,
+    (k + 1) * ndof * 8 bytes, in a buffer that doubles as it fills and is
+    never larger than ndof vectors.
     """
-    r = b.copy()
-    rho = inner_X2(sys, r, r)
-    bnorm = np.sqrt(rho)
+    bnorm = norm_X2(sys, b)
     if bnorm == 0.0:
         return [(np.zeros_like(b), 0, True) for _ in shifts]
-    s_min = min(shifts)
-    rungs = [_Rung(s - s_min, np.zeros_like(b), b.copy()) for s in shifts]
-    seed = rungs[shifts.index(s_min)]
-    active = list(rungs)
-    alpha_old, beta_old = 1.0, 0.0
-    stopped_at = maxit
-    for k in range(1, maxit + 1):
-        q = apply_op(seed.p) + s_min * seed.p
-        curvature = inner_X2(sys, seed.p, q)
-        if not (np.isfinite(curvature) and curvature > 0.0):
-            stopped_at = k - 1
+    limit = min(maxit, b.size)
+    V = (b / bnorm)[np.newaxis]
+    betas = []
+    pivots = [[] for _ in shifts]
+    rhs = [[] for _ in shifts]
+    solved = [None] * len(shifts)
+    active = list(range(len(shifts)))
+
+    def freeze(i, iterations, converged):
+        x = _ritz_iterate(V, betas, pivots[i][:iterations], rhs[i])
+        solved[i] = (x, iterations, converged)
+        active.remove(i)
+
+    for k in range(1, limit + 1):
+        Vk = V[:k]
+        w = apply_op(Vk[-1])
+        alpha = 0.0
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = Vk @ (sys.M_diag * w)
+            w = w - h @ Vk
+            alpha += float(h[-1])
+        beta = norm_X2(sys, w)
+        if not (np.isfinite(alpha) and np.isfinite(beta)):
+            for i in list(active):
+                freeze(i, k - 1, False)
             break
-        alpha = rho / curvature
-        r -= alpha * q
-        rho_new = inner_X2(sys, r, r)
-        rnorm = np.sqrt(rho_new)
-        beta = rho_new / rho
-        for rung in list(active):
-            # 1 / zeta is the seed's residual polynomial at -offset; this is
-            # its three-term recurrence, positive for an SPD seed
-            den = alpha_old * rung.zeta_old * (1.0 + alpha * rung.offset) + (
-                alpha * beta_old * (rung.zeta_old - rung.zeta)
-            )
-            if not (np.isfinite(den) and den != 0.0):
-                rung.iterations = k - 1
-                active.remove(rung)
-                continue
-            zeta = rung.zeta * rung.zeta_old * alpha_old / den
-            rung.x += (alpha * zeta / rung.zeta) * rung.p
-            if abs(zeta) * rnorm <= tol * bnorm:
-                rung.iterations, rung.converged = k, True
-                active.remove(rung)
-                continue
-            rung.p = zeta * r + ((zeta / rung.zeta) ** 2 * beta) * rung.p
-            rung.zeta_old, rung.zeta = rung.zeta, zeta
-        if seed not in active:
-            stopped_at = k
+        for i in list(active):
+            d, z = pivots[i], rhs[i]
+            if k == 1:
+                d.append(alpha + shifts[i])
+                z.append(bnorm)
+            else:
+                lower = betas[-1] / d[-1]
+                d.append(alpha + shifts[i] - lower * betas[-1])
+                z.append(-lower * z[-1])
+            if not (np.isfinite(d[-1]) and d[-1] > 0.0):
+                freeze(i, k - 1, False)
+            elif beta * abs(z[-1] / d[-1]) <= tol * bnorm:
+                freeze(i, k, True)
+        if not active:
             break
-        rho = rho_new
-        alpha_old, beta_old = alpha, beta
-    for rung in active:
-        rung.iterations = stopped_at
-    return [(rung.x, rung.iterations, rung.converged) for rung in rungs]
+        if k == limit or beta == 0.0:
+            for i in list(active):
+                freeze(i, k, False)
+            break
+        betas.append(beta)
+        if k == len(V):
+            grown = np.empty((min(2 * k, limit), b.size))
+            grown[:k] = V
+            V = grown
+        V[k] = w / beta
+    return solved
 
 
 class ControlLadder:
@@ -241,9 +253,10 @@ class ControlLadder:
     The problems are checked on construction: ValueError when there are
     none, or when any two differ in sys, U0, T, nt, theta, cg_tol or
     cg_maxit.  The shared work, one Propagator, the right-hand side
-    b = e^{T A} U0 and one multi-shift CG over every distinct eps, runs once,
-    in the first ``synthesize_control(problem, ladder=...)`` call, and the
-    later calls only finish their rung from it.
+    b = e^{T A} U0 and one multi-shift Lanczos solve over every distinct eps,
+    runs once, in the first ``synthesize_control(problem, ladder=...)``
+    call, and the later calls only finish their rung from it.  Every rung is
+    bit for bit what a ladder of its eps alone gives.
     """
 
     def __init__(self, problems):
@@ -297,15 +310,12 @@ def synthesize_control(
 ) -> ControlResult:
     """Penalized null-control synthesis for one eps.
 
-    PhiHat_T solves (Lambda + eps I) PhiHat_T = e^{T A} U0 by CG in the M
-    inner product.  Alone, that is plain CG on this eps.  With a ladder that
-    holds a problem equal to this one but for eps (ValueError otherwise),
-    PhiHat_T is this eps's rung of the ladder's one multi-shift CG, seeded
-    by the ladder's smallest eps: the seed rung is bit for bit the plain CG
-    of its eps alone, and every other rung stops at the first iteration
-    where its own residual, |zeta| times the seed's, is within cg_tol of
-    ||b||_M, so it matches its own CG to that tolerance, not in the last
-    bits.
+    PhiHat_T solves (Lambda + eps I) PhiHat_T = e^{T A} U0 in the M inner
+    product by Lanczos with a fully reorthogonalized basis, stopped at the
+    first iteration whose CG residual is within cg_tol of ||b||_M.  With a
+    ladder that holds a problem equal to this one but for eps (ValueError
+    otherwise), PhiHat_T is this eps's rung of the ladder's one solve, and
+    the result is bit for bit the one without the ladder.
 
     The control g = -phi_G and PhiHat(0) come from one backward solve of
     PhiHat_T, and the controlled forward run records the achieved final state
@@ -356,8 +366,9 @@ def synthesize_ladder(problems) -> list[ControlResult]:
     The problems may differ only in eps (ValueError otherwise); results come
     back in their order, and eps need not be sorted or distinct.  One
     ``ControlLadder`` holds them, so every rung comes from one multi-shift
-    CG with one Gramian apply per iteration of the smallest eps; each result
-    is ``synthesize_control(problem, ladder=...)``.
+    Lanczos solve with one Gramian apply per iteration of the slowest rung;
+    each result is ``synthesize_control(problem, ladder=...)`` and equals
+    ``synthesize_control(problem)`` bit for bit.
     """
     ladder = ControlLadder(problems)
     return [synthesize_control(problem, ladder=ladder) for problem in ladder.problems]
@@ -379,7 +390,7 @@ def verify_null(problem: ControlProblem, result: ControlResult) -> NullControlRe
 
         | ||g||^2 + eps ||PhiHat_T||_M^2 - <U0, PhiHat(0)>_M |,
 
-    which is bounded by the conjugate-gradient residual.
+    which is bounded by the Krylov-solve residual.
     """
     sys = problem.sys
     U0 = np.asarray(problem.U0, dtype=float)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,23 +191,58 @@ def test_cg_stops_on_indefinite_operator():
     [(x, iterations, converged)] = _cg_in_M(s, lambda v: -v, b, [0.0], 1e-10, 50)
     assert (iterations, converged) == (0, False)
     np.testing.assert_array_equal(x, 0.0)
-    [(x, _, converged)] = _cg_in_M(
+    [(x, iterations, converged)] = _cg_in_M(
         s, lambda v: np.full_like(v, np.nan), b, [0.0], 1e-10, 50
     )
     assert not converged
+    assert iterations < 50
     assert np.all(np.isfinite(x))
 
 
-def test_cg_stops_only_the_rung_whose_zeta_breaks_down():
+def test_cg_converges_at_once_on_a_scaled_identity_and_at_a_huge_shift():
     s = interval_sys()
     b = np.random.default_rng(1).standard_normal(s.ndof)
-    huge = np.finfo(float).max  # 1 + alpha * huge overflows: alpha = 2 here
-    with np.errstate(over="ignore"):
-        seed, rung = _cg_in_M(s, lambda v: 0.5 * v, b, [0.0, huge], 1e-10, 50)
-    assert seed[1:] == (1, True)
-    np.testing.assert_array_equal(seed[0], 2.0 * b)
-    assert rung[1:] == (0, False)
-    np.testing.assert_array_equal(rung[0], 0.0)
+    huge = np.finfo(float).max
+    half, big = _cg_in_M(s, lambda v: 0.5 * v, b, [0.0, huge], 1e-10, 50)
+    assert half[1:] == (1, True)
+    np.testing.assert_allclose(half[0], 2.0 * b, rtol=1e-14, atol=0.0)
+    assert big[1:] == (1, True)
+    assert np.all(np.isfinite(big[0]))
+
+
+def test_basis_grows_with_the_iterations_not_with_maxit():
+    s = interval_sys(n=16)
+    prop = Propagator(s, 1.0, 64, 0.5)
+    b = prop.forward_final(ground_mode(s), None)
+
+    def gram(v):
+        return gramian_apply(prop, v)
+
+    tracemalloc.start()
+    try:
+        gram(b)
+        _, apply_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        [(x, iterations, converged)] = _cg_in_M(s, gram, b, [1e-6], 1e-8, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert converged
+    # a basis preallocated to maxit would be 10**6 * ndof * 8 bytes
+    vector = s.ndof * 8
+    assert peak <= apply_peak + 4 * (iterations + 1) * vector + 16 * 1024
+
+
+def test_tiny_cg_tol_stops_at_ndof_iterations_with_finite_iterate():
+    s = interval_sys(n=4)
+    for eps in LADDER:
+        prob = ControlProblem(
+            sys=s, U0=ground_mode(s), T=1.0, nt=16, eps=eps, cg_tol=1e-300
+        )
+        res = synthesize_control(prob)
+        assert 0 < res.iterations <= s.ndof
+        assert np.all(np.isfinite(res.phi_T))
+        assert np.isfinite(res.true_residual)
 
 
 def test_true_residual_is_final_state_defect():
@@ -267,21 +303,33 @@ def ladder_problems(case, eps_list, **kw):
     ]
 
 
-def test_one_shift_solver_bitwise_equals_plain_cg(ladder_case):
+def test_every_rung_meets_the_cg_tol_residual_bound(ladder_case):
     s, U0, nt = ladder_case
     prop = Propagator(s, 1.0, nt, 0.5)
     b = prop.forward_final(U0, None)
+    bnorm = norm_X2(s, b)
+    tol = 1e-8
 
     def gram(v):
         return gramian_apply(prop, v)
 
-    for eps, tol, maxit in ((1e-6, 1e-8, 500), (1e-4, 1e-8, 500), (1e-6, 1e-8, 3)):
-        want = _plain_cg_in_M(s, lambda v: gram(v) + eps * v, b, tol, maxit)
-        [got] = _cg_in_M(s, gram, b, [eps], tol, maxit)
-        seed = _cg_in_M(s, gram, b, [1e-1, eps * 10, eps], tol, maxit)[2]
-        for x, iterations, converged in (got, seed):
-            assert (iterations, converged) == want[1:]
-            assert x.tobytes() == want[0].tobytes()
+    for eps, (x, iterations, converged) in zip(
+        LADDER, _cg_in_M(s, gram, b, list(LADDER), tol, 500)
+    ):
+        assert converged and 0 < iterations <= s.ndof
+        r = gram(x) + eps * x - b
+        res = norm_X2(s, r)
+        assert res <= tol * bnorm
+        # Galerkin: r is M-orthogonal to the basis that holds x, up to the
+        # basis' loss of orthogonality (1e-3 here for a short recurrence)
+        assert abs(inner_X2(s, r, x)) <= 1e-5 * res * norm_X2(s, x)
+        # Lambda is M-PSD, so ||x - y||_M <= ||(Lambda + eps)(x - y)||_M / eps
+        plain, _, plain_converged = _plain_cg_in_M(
+            s, lambda v: gram(v) + eps * v, b, tol, 500
+        )
+        assert plain_converged
+        bound = (res + norm_X2(s, gram(plain) + eps * plain - b)) / eps
+        assert norm_X2(s, x - plain) <= bound
 
 
 def test_ladder_seed_rung_bitwise_equals_single_solve(ladder_case):
@@ -297,15 +345,16 @@ def test_ladder_seed_rung_bitwise_equals_single_solve(ladder_case):
 
 
 def test_ladder_rungs_match_their_single_solves(ladder_case):
-    s = ladder_case[0]
-    problems = ladder_problems(ladder_case, LADDER)
-    for problem, rung in zip(problems, synthesize_ladder(problems)):
-        alone = synthesize_control(problem)
-        assert rung.converged == alone.converged
-        # in exact arithmetic the rung's residual is its own CG's
-        assert abs(rung.iterations - alone.iterations) <= 1
-        gap = norm_X2(s, rung.phi_T - alone.phi_T) / norm_X2(s, alone.phi_T)
-        assert gap <= 100 * problem.cg_tol
+    # the second ladder is unsorted and repeats an eps
+    for eps_list in (LADDER, (1e-4, 1e-6, 1e-2, 1e-4)):
+        problems = ladder_problems(ladder_case, eps_list)
+        for problem, rung in zip(problems, synthesize_ladder(problems)):
+            alone = synthesize_control(problem)
+            assert (rung.iterations, rung.converged) == (alone.iterations, True)
+            assert alone.converged
+            for name in ("phi_T", "final_state"):
+                assert getattr(rung, name).tobytes() == getattr(alone, name).tobytes()
+            assert rung.g.values.tobytes() == alone.g.values.tobytes()
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -425,89 +474,6 @@ def test_zero_initial_state_gives_zero_control_on_every_rung():
     assert results[0].final_state is not results[1].final_state
 
 
-@dataclasses.dataclass
-class _ShiftedRung:
-    """Iterate of one non-seed shift, carried by the seed's Krylov space.
-
-    Its residual is zeta times the seed's residual; zeta_old is the value one
-    iteration earlier.
-    """
-
-    offset: float  # shift minus the seed's shift, > 0
-    x: np.ndarray
-    p: np.ndarray
-    zeta: float = 1.0
-    zeta_old: float = 1.0
-    iterations: int = 0
-    converged: bool = False
-
-
-def _two_rule_cg_in_M(sys, apply_op, b, shifts, tol, maxit):
-    """The multi-shift CG with a plain-CG seed and a zeta rule for the other
-    shifts, which the one-rule solver replaced; its code is kept verbatim."""
-    seed = min(shifts)
-    x = np.zeros_like(b)
-    r = b.copy()
-    rho = inner_X2(sys, r, r)
-    bnorm = np.sqrt(rho)
-    if bnorm == 0.0:
-        return [(np.zeros_like(b), 0, True) for _ in shifts]
-    rungs = [
-        None if s == seed else _ShiftedRung(s - seed, np.zeros_like(b), b.copy())
-        for s in shifts
-    ]
-    active = [rung for rung in rungs if rung is not None]
-    p = r.copy()
-    alpha_old, beta_old = 1.0, 0.0
-
-    def stop(iterations, converged):
-        for rung in active:
-            rung.iterations = iterations
-        first_seed = shifts.index(seed)
-        return [
-            (x if i == first_seed else x.copy(), iterations, converged)
-            if rung is None
-            else (rung.x, rung.iterations, rung.converged)
-            for i, rung in enumerate(rungs)
-        ]
-
-    for k in range(1, maxit + 1):
-        q = apply_op(p) + seed * p
-        curvature = inner_X2(sys, p, q)
-        if not (np.isfinite(curvature) and curvature > 0.0):
-            return stop(k - 1, False)
-        alpha = rho / curvature
-        x += alpha * p
-        r -= alpha * q
-        rho_new = inner_X2(sys, r, r)
-        rnorm = np.sqrt(rho_new)
-        beta = rho_new / rho
-        for rung in list(active):
-            # 1 / zeta is the seed's residual polynomial at -offset; this is
-            # its three-term recurrence, positive for an SPD seed
-            den = alpha_old * rung.zeta_old * (1.0 + alpha * rung.offset) + (
-                alpha * beta_old * (rung.zeta_old - rung.zeta)
-            )
-            if not (np.isfinite(den) and den != 0.0):
-                rung.iterations = k - 1
-                active.remove(rung)
-                continue
-            zeta = rung.zeta * rung.zeta_old * alpha_old / den
-            rung.x += (alpha * zeta / rung.zeta) * rung.p
-            if abs(zeta) * rnorm <= tol * bnorm:
-                rung.iterations, rung.converged = k, True
-                active.remove(rung)
-                continue
-            rung.p = zeta * r + ((zeta / rung.zeta) ** 2 * beta) * rung.p
-            rung.zeta_old, rung.zeta = rung.zeta, zeta
-        if rnorm <= tol * bnorm:
-            return stop(k, True)
-        p = r + beta * p
-        rho = rho_new
-        alpha_old, beta_old = alpha, beta
-    return stop(maxit, False)
-
-
 def assert_same_rungs(got, want):
     assert len(got) == len(want)
     for (x, iterations, converged), (want_x, want_its, want_conv) in zip(got, want):
@@ -521,7 +487,7 @@ def assert_same_rungs(got, want):
     [[1e-2, 1e-4, 1e-6], [1e-4, 1e-6, 1e-2, 1e-4], [1e-4]],
     ids=["ladder", "unsorted-repeated", "single"],
 )
-def test_one_rule_cg_bitwise_equals_two_rule_oracle(ladder_case, shifts, maxit):
+def test_rungs_equal_one_shift_solves(ladder_case, shifts, maxit):
     s, U0, nt = ladder_case
     prop = Propagator(s, 1.0, nt, 0.5)
     b = prop.forward_final(U0, None)
@@ -530,7 +496,7 @@ def test_one_rule_cg_bitwise_equals_two_rule_oracle(ladder_case, shifts, maxit):
         return gramian_apply(prop, v)
 
     got = _cg_in_M(s, gram, b, shifts, 1e-8, maxit)
-    assert_same_rungs(got, _two_rule_cg_in_M(s, gram, b, shifts, 1e-8, maxit))
+    assert_same_rungs(got, [_cg_in_M(s, gram, b, [eps], 1e-8, maxit)[0] for eps in shifts])
 
 
 BREAKDOWN_OPERATORS = {
@@ -543,13 +509,14 @@ BREAKDOWN_OPERATORS = {
 
 @pytest.mark.parametrize("maxit", [3, 50])
 @pytest.mark.parametrize("op", sorted(BREAKDOWN_OPERATORS))
-def test_one_rule_cg_bitwise_equals_two_rule_oracle_on_breakdown(op, maxit):
+def test_rungs_equal_one_shift_solves_on_breakdown(op, maxit):
     s = interval_sys()
     b = np.random.default_rng(1).standard_normal(s.ndof)
     huge = np.finfo(float).max
     apply_op = BREAKDOWN_OPERATORS[op]
-    for shifts in ([0.0], [0.0, huge], [huge, 1.0, 0.0, 0.0]):
-        with np.errstate(over="ignore"):
-            got = _cg_in_M(s, apply_op, b, shifts, 1e-10, maxit)
-            want = _two_rule_cg_in_M(s, apply_op, b, shifts, 1e-10, maxit)
+    for shifts in ([0.0, huge], [huge, 1.0, 0.0, 0.0]):
+        got = _cg_in_M(s, apply_op, b, shifts, 1e-10, maxit)
+        want = [_cg_in_M(s, apply_op, b, [shift], 1e-10, maxit)[0] for shift in shifts]
         assert_same_rungs(got, want)
+        for x, _, _ in got:
+            assert np.all(np.isfinite(x))
