@@ -474,6 +474,78 @@ def test_zero_initial_state_gives_zero_control_on_every_rung():
     assert results[0].final_state is not results[1].final_state
 
 
+def _two_rule_cg_in_M(sys, apply_op, b, shifts, tol, maxit):
+    """Reference for `_cg_in_M`, written as two rules applied one after the other.
+
+    The basis rule runs Lanczos with two Gram-Schmidt passes until maxit,
+    ndof vectors, a non-finite alpha or beta, or beta = 0, keeping every
+    vector, alpha and beta.  The shift rule then walks each shift's pivots
+    of T_k + s I = L D L^T over that whole run and stops it at its first
+    non-positive pivot or at its first k with beta_{k+1} |e_k^T y| <=
+    tol ||b||_M, and forms x = V_k y by back substitution.
+    """
+    bnorm = norm_X2(sys, b)
+    if bnorm == 0.0:
+        return [(np.zeros_like(b), 0, True) for _ in shifts]
+    limit = min(maxit, b.size)
+    V = np.empty((limit + 1, b.size))
+    V[0] = b / bnorm
+    alphas, betas = [], []
+    for k in range(1, limit + 1):
+        w = apply_op(V[k - 1])
+        alpha = 0.0
+        for _ in range(2):
+            h = V[:k] @ (sys.M_diag * w)
+            w = w - h @ V[:k]
+            alpha += float(h[-1])
+        beta = norm_X2(sys, w)
+        if not (np.isfinite(alpha) and np.isfinite(beta)):
+            break
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0:
+            break
+        V[k] = w / beta
+    steps = len(alphas)
+
+    def shift_rule(shift):
+        pivots, rhs = [], []
+        for k in range(1, steps + 1):
+            alpha, beta = alphas[k - 1], betas[k - 1]
+            if k == 1:
+                pivots.append(alpha + shift)
+                rhs.append(bnorm)
+            else:
+                lower = betas[k - 2] / pivots[-1]
+                pivots.append(alpha + shift - lower * betas[k - 2])
+                rhs.append(-lower * rhs[-1])
+            if not (np.isfinite(pivots[-1]) and pivots[-1] > 0.0):
+                return k - 1, False
+            if beta * abs(rhs[-1] / pivots[-1]) <= tol * bnorm:
+                return k, True
+        return steps, False
+
+    out = []
+    for shift in shifts:
+        iterations, converged = shift_rule(shift)
+        d, z = [], []
+        for k in range(iterations):
+            if k == 0:
+                d.append(alphas[0] + shift)
+                z.append(bnorm)
+            else:
+                lower = betas[k - 1] / d[-1]
+                d.append(alphas[k] + shift - lower * betas[k - 1])
+                z.append(-lower * z[-1])
+        y = np.empty(iterations)
+        for j in reversed(range(iterations)):
+            y[j] = z[j] / d[j]
+            if j + 1 < iterations:
+                y[j] -= betas[j] / d[j] * y[j + 1]
+        out.append((y @ V[:iterations], iterations, converged))
+    return out
+
+
 def assert_same_rungs(got, want):
     assert len(got) == len(want)
     for (x, iterations, converged), (want_x, want_its, want_conv) in zip(got, want):
@@ -487,7 +559,7 @@ def assert_same_rungs(got, want):
     [[1e-2, 1e-4, 1e-6], [1e-4, 1e-6, 1e-2, 1e-4], [1e-4]],
     ids=["ladder", "unsorted-repeated", "single"],
 )
-def test_rungs_equal_one_shift_solves(ladder_case, shifts, maxit):
+def test_one_rule_cg_bitwise_equals_two_rule_oracle(ladder_case, shifts, maxit):
     s, U0, nt = ladder_case
     prop = Propagator(s, 1.0, nt, 0.5)
     b = prop.forward_final(U0, None)
@@ -496,7 +568,9 @@ def test_rungs_equal_one_shift_solves(ladder_case, shifts, maxit):
         return gramian_apply(prop, v)
 
     got = _cg_in_M(s, gram, b, shifts, 1e-8, maxit)
-    assert_same_rungs(got, [_cg_in_M(s, gram, b, [eps], 1e-8, maxit)[0] for eps in shifts])
+    assert_same_rungs(got, _two_rule_cg_in_M(s, gram, b, shifts, 1e-8, maxit))
+    want = [_cg_in_M(s, gram, b, [eps], 1e-8, maxit)[0] for eps in shifts]
+    assert_same_rungs(got, want)
 
 
 BREAKDOWN_OPERATORS = {
@@ -509,13 +583,15 @@ BREAKDOWN_OPERATORS = {
 
 @pytest.mark.parametrize("maxit", [3, 50])
 @pytest.mark.parametrize("op", sorted(BREAKDOWN_OPERATORS))
-def test_rungs_equal_one_shift_solves_on_breakdown(op, maxit):
+def test_one_rule_cg_bitwise_equals_two_rule_oracle_on_breakdown(op, maxit):
     s = interval_sys()
     b = np.random.default_rng(1).standard_normal(s.ndof)
     huge = np.finfo(float).max
     apply_op = BREAKDOWN_OPERATORS[op]
-    for shifts in ([0.0, huge], [huge, 1.0, 0.0, 0.0]):
+    for shifts in ([0.0], [0.0, huge], [huge, 1.0, 0.0, 0.0]):
         got = _cg_in_M(s, apply_op, b, shifts, 1e-10, maxit)
+        oracle = _two_rule_cg_in_M(s, apply_op, b, shifts, 1e-10, maxit)
+        assert_same_rungs(got, oracle)
         want = [_cg_in_M(s, apply_op, b, [shift], 1e-10, maxit)[0] for shift in shifts]
         assert_same_rungs(got, want)
         for x, _, _ in got:
