@@ -399,15 +399,158 @@ def trajectory_to_csv(traj: Trajectory, path, header_lines: list[str] | None = N
 def _write_series(path, times, values, columns: str, header_lines: list[str]) -> None:
     """Write rows ``t,i,values[n, i]`` for every time level n and column i.
 
-    Numbers are written as ``%.17g`` (what ``f"{v:.17g}"`` gives, nan and
-    inf included).  Each time level is formatted by one C-level ``%`` on a
-    template built from the column ids once, and written before the next is
-    formatted, so memory does not grow with the number of time levels.
+    Numbers are written as ``%.17g``, byte for byte what ``f"{v:.17g}"``
+    gives.  Times, and values outside 1e-5 <= |v| < 1e16 (0, -0, nan, inf,
+    subnormals, huge values), are formatted one by one by Python itself.
+    The values inside that range are formatted in bulk by ``_format_fields``,
+    exactly.  With E = floor(log10|v|), corrected until the digits land in
+    [1e16, 1e17), Dekker's error-free product gives p + e = |v| 10**(16 - E)
+    with no rounding (10**0 .. 10**22 are exact doubles).  There p >= 2**53
+    is an even integer, so ``int(p) + rint(e)`` is the 17-digit integer
+    rounded half to even, as ``%.17g`` rounds it.  Its layout (fixed notation
+    for E >= -4, exponent notation for E = -5) comes from a table indexed by
+    sign, E and the number of digits left after the trailing zeros.  Rows are
+    built about ``_CSV_BLOCK`` values at a time (part of a level, or several
+    whole levels) as one byte array with NUL wherever a row has no
+    character; the NULs are deleted and the block is written before the
+    next, so memory does not grow with the number of time levels.
     """
-    parts = [""] + [f",{i},%.17g\n" for i in range(values.shape[1])]
+    values = np.asarray(values, dtype=np.float64)
+    ncols = values.shape[1]
+    stamps = [f"{t:.17g}" for t in times]
+    stamps = _nul_padded(stamps, max(map(len, stamps), default=1))
+    ids = _nul_padded((f",{i}," for i in range(ncols)), len(str(ncols)) + 2)
+    start = stamps.shape[1] + ids.shape[1]
+    levels = max(1, _CSV_BLOCK // max(ncols, 1))  # whole levels per block
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(columns + "\n")
-        for t, row in zip(times, values):
-            fh.write(f"{t:.17g}".join(parts) % tuple(row.tolist()))
+        for n in range(0, len(values), levels):
+            for lo in range(0, ncols, _CSV_BLOCK):
+                block = values[n : n + levels, lo : lo + _CSV_BLOCK]
+                fields = _format_fields(block.ravel())
+                rows = np.empty((block.size, start + _FIELD), np.uint8)
+                grid = rows.reshape(block.shape + (-1,))
+                grid[..., : stamps.shape[1]] = stamps[n : n + levels, None]
+                grid[..., stamps.shape[1] : start] = ids[lo : lo + block.shape[1]]
+                rows[:, start:] = fields
+                fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def _nul_padded(texts, width: int) -> np.ndarray:
+    """ASCII texts as the rows of a (len, width) uint8 array, NUL after each."""
+    padded = np.fromiter((t.encode() for t in texts), f"S{width}")
+    return padded.view(np.uint8).reshape(-1, width)
+
+
+# The %.17g field of one value: its characters at fixed columns, NUL where it
+# has none.  Column 0 holds the sign, 1-5 "0.000" (fixed notation below 1),
+# 6 the leading digit d0, 8-39 the digits d1..d16 at the even columns, with a
+# dot slot after every digit, 40-43 "e-0X" and 44 the newline.  Fields are
+# built in rows of _FIELD_ROW bytes, where d1..d16 are the 2nd to 5th uint64.
+_FIELD, _FIELD_ROW = 45, 48
+_CSV_BLOCK = 4096
+_E_MIN, _E_MAX = -5, 15  # decimal exponents of 1e-5 <= |v| < 1e16
+_P10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
+_P10_HI = _SPLITTER * _P10 - (_SPLITTER * _P10 - _P10)
+_P10_LO = _P10 - _P10_HI
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per 4-digit group q: its characters at every other byte of a uint64,
+    and, for group k of d1..d16, the digit count of a value whose last
+    nonzero digit is in q (0 when q == 0)."""
+    q = np.arange(10000, dtype=np.int16)
+    chars = np.zeros((q.size, 8), np.uint8)
+    for k in range(4):
+        chars[:, 2 * k] = ord("0") + q // 10 ** (3 - k) % 10
+    trailing = (q % 10 == 0).astype(np.uint8) + (q % 100 == 0) + (q % 1000 == 0)
+    nsig = np.where(q > 0, 5 - trailing + 4 * np.arange(4, dtype=np.uint8)[:, None], 0)
+    return chars.view(np.uint64)[:, 0], nsig.astype(np.uint8)
+
+
+def _field_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Fixed characters and digit mask of the field per (sign, E, digits)."""
+    chars = np.zeros((2, _E_MAX - _E_MIN + 1, 17, _FIELD_ROW), np.uint8)
+    mask = np.zeros_like(chars)
+    for E in range(_E_MIN, _E_MAX + 1):
+        for nsig in range(1, 18):
+            c = chars[0, E - _E_MIN, nsig - 1]
+            c[_FIELD - 1] = ord("\n")
+            dot = E
+            if -4 <= E < 0:
+                c[1 : 2 - E] = np.frombuffer(b"0." + b"0" * (-1 - E), np.uint8)
+                dot = None
+            elif E < 0:
+                c[40:44] = np.frombuffer(b"e-%02d" % -E, np.uint8)
+                dot = 0
+            if dot is not None and nsig > dot + 1:
+                c[7 + 2 * dot] = ord(".")
+            mask[:, E - _E_MIN, nsig - 1, 6 : 6 + 2 * max(nsig, E + 1) : 2] = 255
+    chars[1] = chars[0]
+    chars[1, ..., 0] = ord("-")
+    return chars.reshape(-1, _FIELD_ROW), mask.reshape(-1, _FIELD_ROW)
+
+
+_QUAD_CHARS, _QUAD_NSIG = _quad_tables()
+_FIELD_CHARS, _FIELD_MASK = _field_tables()
+
+
+def _scaled(a: np.ndarray, shift: np.ndarray):
+    """p + e == a * 10**shift exactly (Dekker), and off = -1, 0 or 1 as that
+    product lies below, in or above [1e16, 1e17)."""
+    p = a * np.take(_P10, shift)
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    sh, sl = np.take(_P10_HI, shift), np.take(_P10_LO, shift)
+    e = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    # exact signs: p - 1e16 is exact wherever it can be small against e
+    return p, e, ((p - 1e17) + e >= 0) * 1 - ((p - 1e16) + e < 0)
+
+
+def _decimal(x: np.ndarray):
+    """(d, E, fast): |x| rounded to 17 digits is d * 10**(E - 16) wherever
+    fast, which is where 1e-5 <= |x| < 1e16."""
+    a = np.abs(x)
+    fast = (a >= 1e-5) & (a < 1e16)
+    a[~fast] = 1.0  # keeps the arithmetic finite; these values are redone
+    shift = 16 - np.floor(np.log10(a)).astype(np.int64)
+    p, e, off = _scaled(a, shift)
+    if off.any():  # log10 is one off next to a power of ten
+        shift -= off
+        p, e, off = _scaled(a, shift)
+        fast &= off == 0
+    # d < 10**17: rounding up to it needs |x| within 5e-18 (relative) below a
+    # power of ten, and the doubles nearest below 10**-4 .. 10**16 are 8e-17
+    # or more away
+    return p.astype(np.int64) + np.rint(e).astype(np.int64), 16 - shift, fast
+
+
+def _format_fields(x: np.ndarray) -> np.ndarray:
+    """The %.17g field of each x[k], shape (x.size, _FIELD)."""
+    d, E, fast = _decimal(x)
+    hi = d // 10**8
+    lead = hi // 10**8
+    quads = []
+    for eight in (hi - lead * 10**8, d - hi * 10**8):
+        upper = eight // 10**4
+        quads += [upper, eight - upper * 10**4]
+    field = np.empty((x.size, _FIELD_ROW), np.uint8)
+    words = field.view(np.uint64)
+    nsig = np.ones(x.size, np.uint8)
+    for j, q in enumerate(quads):
+        words[:, 1 + j] = np.take(_QUAD_CHARS, q)
+        np.maximum(nsig, np.take(_QUAD_NSIG[j], q), out=nsig)
+    field[:, 6] = lead + ord("0")
+    key = ((x < 0) * (_E_MAX - _E_MIN + 1) + E - _E_MIN) * 17 + nsig - 1
+    key[~fast] = 0  # any layout: these fields are redone below
+    field &= np.take(_FIELD_MASK, key, axis=0)
+    field |= np.take(_FIELD_CHARS, key, axis=0)
+    for k in np.flatnonzero(~fast):
+        text = np.frombuffer(f"{x[k]:.17g}".encode(), np.uint8)
+        field[k, : _FIELD - 1] = 0
+        field[k, : text.size] = text
+    return field[:, :_FIELD]

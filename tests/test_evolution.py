@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,71 @@ def test_trajectory_csv_bytes_equal_loop_oracle(tmp_path):
     got = tmp_path / "got.csv"
     trajectory_to_csv(traj, got, header_lines=header)
     assert got.read_bytes() == oracle.read_bytes()
+
+
+
+def _csv_corpus() -> np.ndarray:
+    """Doubles at every edge of the %.17g writer, with both signs."""
+    rng = np.random.default_rng(17)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    powers = 10.0 ** np.arange(-8, 19)
+    ints = np.concatenate([np.arange(1.0, 1000.0), rng.integers(1, 2**53, 4000).astype(float)])
+    parts = [
+        [0.0, np.nan, np.inf, 5e-324, 3 * 5e-324, tiny, np.nextafter(tiny, 0), huge],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [np.nextafter(1e-5, 0), 1e-5, np.nextafter(1e-4, 0), np.nextafter(1e16, 0), 1e16],
+        rng.uniform(1e-5, 1e-4, 4000),  # the %g switch to exponent notation
+        rng.integers(2**52, 2**53, 8000) / 8.0,  # exact ties at the 17th digit
+        ints, ints / 1024, ints * 1e-5,
+    ]
+    corpus = np.concatenate([np.asarray(p, dtype=float) for p in parts])
+    random = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-12, 20, 200_000)
+    return np.concatenate([corpus, -corpus, random])
+
+
+def test_trajectory_csv_bytes_equal_format_on_adversarial_corpus(tmp_path):
+    values = _csv_corpus()
+    ndof = evolution._CSV_BLOCK + 903  # each level spans two blocks
+    pad = np.random.default_rng(18).standard_normal(-values.size % ndof)
+    states = np.concatenate([values, pad]).reshape(-1, ndof)
+    times = np.linspace(0.0, 1.0, len(states))
+    traj = Trajectory(times=times, states=states, theta=0.5, dt=times[1])
+    got = tmp_path / "got.csv"
+    trajectory_to_csv(traj, got, header_lines=["config_hash=abc"])
+    want = ["# config_hash=abc", "t,node_id,value"] + [
+        f"{t:.17g},{i},{v:.17g}"
+        for t, state in zip(times, states.tolist())
+        for i, v in enumerate(state)
+    ]
+    lines = got.read_bytes().decode("ascii").split("\n")
+    assert lines[-1] == ""
+    assert len(lines) - 1 == len(want)
+    assert [(g, w) for g, w in zip(lines, want) if g != w][:5] == []
+
+
+def test_csv_writer_memory_does_not_grow_with_time_levels(tmp_path):
+    # Fixed before measuring: the writer keeps the column ids and one block of
+    # rows, never a whole trajectory, so its peak is at most 256 bytes per
+    # column plus 4 MiB whatever nt is, and nt = 64 adds under 256 KiB to nt = 8.
+    ndof = 10_000
+    bound = 256 * ndof + 4 * 2**20
+    rng = np.random.default_rng(19)
+    peaks = {}
+    for nt in (8, 64):
+        traj = Trajectory(
+            times=np.linspace(0.0, 1.0, nt + 1),
+            states=rng.standard_normal((nt + 1, ndof)),
+            theta=0.5,
+            dt=1.0 / nt,
+        )
+        tracemalloc.start()
+        try:
+            trajectory_to_csv(traj, tmp_path / f"nt{nt}.csv")
+            _, peaks[nt] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= bound, peaks
+    assert peaks[64] <= peaks[8] + 2**18, peaks
 
 
 def _loop_step(sys_, dt, theta, lagged):
