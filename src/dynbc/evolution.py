@@ -400,20 +400,25 @@ def _write_series(path, times, values, columns: str, header_lines: list[str]) ->
     """Write rows ``t,i,values[n, i]`` for every time level n and column i.
 
     Numbers are written as ``%.17g``, byte for byte what ``f"{v:.17g}"``
-    gives.  Times, and values outside 1e-5 <= |v| < 1e16 (0, -0, nan, inf,
-    subnormals, huge values), are formatted one by one by Python itself.
-    The values inside that range are formatted in bulk by ``_format_fields``,
-    exactly.  With E = floor(log10|v|), corrected until the digits land in
-    [1e16, 1e17), Dekker's error-free product gives p + e = |v| 10**(16 - E)
-    with no rounding (10**0 .. 10**22 are exact doubles).  There p >= 2**53
-    is an even integer, so ``int(p) + rint(e)`` is the 17-digit integer
-    rounded half to even, as ``%.17g`` rounds it.  Its layout (fixed notation
-    for E >= -4, exponent notation for E = -5) comes from a table indexed by
-    sign, E and the number of digits left after the trailing zeros.  Rows are
-    built about ``_CSV_BLOCK`` values at a time (part of a level, or several
-    whole levels) as one byte array with NUL wherever a row has no
-    character; the NULs are deleted and the block is written before the
-    next, so memory does not grow with the number of time levels.
+    gives.  Zeros and the values with 1e-280 <= |v| < 1e16 are formatted in
+    bulk by ``_format_fields``.  With E = floor(log10|v|), corrected once
+    (log10 can be one off next to a power of ten), Dekker's error-free
+    product gives p + e = |v| 10**(16 - E) with no rounding while
+    16 - E <= 22 (10**0 .. 10**22 are exact doubles), that is for
+    |v| >= 1e-6.  There p >= 2**53 is an even integer, so
+    ``int(p) + rint(e)`` is the 17-digit integer rounded half to even, as
+    ``%.17g`` rounds it.  Below 1e-6 the power is a sum of two doubles and
+    p + e is within 4.3e-15 of |v| 10**(16 - E), so the rounding is exact
+    unless the fraction of p + e is within 1e-14 of one half.  The layout
+    (fixed notation for E >= -4, exponent notation below) comes from a table
+    indexed by sign, E and the number of digits left after the trailing
+    zeros.  Times, and the values left (nan, inf, subnormals, other values
+    outside that range, those near-ties, and any value still out of range
+    after the correction), are formatted by Python itself, in one pass per
+    block.  Rows are built about ``_CSV_BLOCK`` values at a time (part of a
+    level, or several whole levels) as one byte array with NUL wherever a
+    row has no character; the NULs are deleted and the block is written
+    before the next, so memory does not grow with the number of time levels.
     """
     values = np.asarray(values, dtype=np.float64)
     ncols = values.shape[1]
@@ -447,15 +452,21 @@ def _nul_padded(texts, width: int) -> np.ndarray:
 # The %.17g field of one value: its characters at fixed columns, NUL where it
 # has none.  Column 0 holds the sign, 1-5 "0.000" (fixed notation below 1),
 # 6 the leading digit d0, 8-39 the digits d1..d16 at the even columns, with a
-# dot slot after every digit, 40-43 "e-0X" and 44 the newline.  Fields are
-# built in rows of _FIELD_ROW bytes, where d1..d16 are the 2nd to 5th uint64.
-_FIELD, _FIELD_ROW = 45, 48
+# dot slot after every digit, 40-44 "e-XX" or "e-XXX" and 45 the newline.
+# Fields are built in rows of _FIELD_ROW bytes, where d1..d16 are the 2nd to
+# 5th uint64 and the exponent and newline the 6th.
+_FIELD, _FIELD_ROW = 46, 48
 _CSV_BLOCK = 4096
-_E_MIN, _E_MAX = -5, 15  # decimal exponents of 1e-5 <= |v| < 1e16
-_P10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_E_MIN, _E_MAX = -280, 15  # decimal exponents of 1e-280 <= |v| < 1e16
+_E_FIXED = -4  # %.17g writes E >= -4 in fixed notation
+# 10**k as _P10 + _P10_TAIL, both doubles, for every shift 16 - E can take
+# before its correction; the tail is 0 for k <= 22, where 10**k is a double
+_P10 = np.array([float(10**k) for k in range(18 - _E_MIN)])
+_P10_TAIL = np.array([float(10**k - int(p)) for k, p in enumerate(_P10)])
 _SPLITTER = 2.0**27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
 _P10_HI = _SPLITTER * _P10 - (_SPLITTER * _P10 - _P10)
 _P10_LO = _P10 - _P10_HI
+_TIE_GAP = 1e-14  # above the 4.3e-15 error of p + e where the tail is not 0
 
 
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -471,67 +482,81 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     return chars.view(np.uint64)[:, 0], nsig.astype(np.uint8)
 
 
-def _field_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Fixed characters and digit mask of the field per (sign, E, digits)."""
-    chars = np.zeros((2, _E_MAX - _E_MIN + 1, 17, _FIELD_ROW), np.uint8)
+def _field_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed characters and digit mask of columns 0-39 of the field per
+    (sign, max(E, _E_FIXED - 1), digits), and its 6th uint64 (exponent and
+    newline) per E."""
+    chars = np.zeros((2, _E_MAX - _E_FIXED + 2, 17, _FIELD_ROW), np.uint8)
     mask = np.zeros_like(chars)
-    for E in range(_E_MIN, _E_MAX + 1):
+    for E in range(_E_FIXED - 1, _E_MAX + 1):
         for nsig in range(1, 18):
-            c = chars[0, E - _E_MIN, nsig - 1]
-            c[_FIELD - 1] = ord("\n")
-            dot = E
-            if -4 <= E < 0:
+            c = chars[0, E - _E_FIXED + 1, nsig - 1]
+            dot = max(E, 0)
+            if _E_FIXED <= E < 0:
                 c[1 : 2 - E] = np.frombuffer(b"0." + b"0" * (-1 - E), np.uint8)
                 dot = None
-            elif E < 0:
-                c[40:44] = np.frombuffer(b"e-%02d" % -E, np.uint8)
-                dot = 0
             if dot is not None and nsig > dot + 1:
                 c[7 + 2 * dot] = ord(".")
-            mask[:, E - _E_MIN, nsig - 1, 6 : 6 + 2 * max(nsig, E + 1) : 2] = 255
+            mask[:, E - _E_FIXED + 1, nsig - 1, 6 : 6 + 2 * max(nsig, E + 1) : 2] = 255
     chars[1] = chars[0]
     chars[1, ..., 0] = ord("-")
-    return chars.reshape(-1, _FIELD_ROW), mask.reshape(-1, _FIELD_ROW)
+    tails = np.zeros((_E_MAX - _E_MIN + 1, 8), np.uint8)
+    for E in range(_E_MIN, _E_MAX + 1):
+        if E < _E_FIXED:
+            tails[E - _E_MIN, : 4 + (E <= -100)] = np.frombuffer(b"e-%02d" % -E, np.uint8)
+        tails[E - _E_MIN, _FIELD - 1 - 40] = ord("\n")
+    return chars.reshape(-1, _FIELD_ROW), mask.reshape(-1, _FIELD_ROW), tails.view(np.uint64)[:, 0]
 
 
 _QUAD_CHARS, _QUAD_NSIG = _quad_tables()
-_FIELD_CHARS, _FIELD_MASK = _field_tables()
+_FIELD_CHARS, _FIELD_MASK, _FIELD_TAILS = _field_tables()
 
 
 def _scaled(a: np.ndarray, shift: np.ndarray):
-    """p + e == a * 10**shift exactly (Dekker), and off = -1, 0 or 1 as that
-    product lies below, in or above [1e16, 1e17)."""
+    """p + e == a * 10**shift, exactly (Dekker) where shift <= 22 and within
+    4.3e-15 elsewhere, and off = -1, 0 or 1 as it lies below, in or above
+    [1e16, 1e17)."""
     p = a * np.take(_P10, shift)
     c = _SPLITTER * a
     ah = c - (c - a)
     al = a - ah
     sh, sl = np.take(_P10_HI, shift), np.take(_P10_LO, shift)
     e = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    # a * tail (under 11.2) rounds by under 1.3e-15, a times the rounding of
+    # the tail itself is under 1.3e-15 and the sum rounds by under 1.8e-15
+    e += a * np.take(_P10_TAIL, shift)
     # exact signs: p - 1e16 is exact wherever it can be small against e
     return p, e, ((p - 1e17) + e >= 0) * 1 - ((p - 1e16) + e < 0)
 
 
 def _decimal(x: np.ndarray):
     """(d, E, fast): |x| rounded to 17 digits is d * 10**(E - 16) wherever
-    fast, which is where 1e-5 <= |x| < 1e16."""
+    fast, which is where x == 0 or 1e-280 <= |x| < 1e16, bar near-ties."""
     a = np.abs(x)
-    fast = (a >= 1e-5) & (a < 1e16)
-    a[~fast] = 1.0  # keeps the arithmetic finite; these values are redone
+    zero = a == 0
+    fast = (a >= 10.0**_E_MIN) & (a < 1e16)
+    a[~fast] = 1.0  # keeps the arithmetic finite; d, E of a zero are 0, 0
     shift = 16 - np.floor(np.log10(a)).astype(np.int64)
     p, e, off = _scaled(a, shift)
     if off.any():  # log10 is one off next to a power of ten
         shift -= off
         p, e, off = _scaled(a, shift)
         fast &= off == 0
-    # d < 10**17: rounding up to it needs |x| within 5e-18 (relative) below a
-    # power of ten, and the doubles nearest below 10**-4 .. 10**16 are 8e-17
-    # or more away
-    return p.astype(np.int64) + np.rint(e).astype(np.int64), 16 - shift, fast
+    r = np.rint(e)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    # where p + e is not exact, a fraction within _TIE_GAP of one half may
+    # round either way; a d of 10**17 (rounded up into the next decade) has
+    # 18 digits; E can be _E_MIN - 1 next to 10**_E_MIN
+    fast &= ((np.abs(np.abs(e - r) - 0.5) > _TIE_GAP) | (shift <= 22)) & (d < 10**17)
+    fast &= shift <= 16 - _E_MIN
+    d[zero] = 0
+    return d, 16 - shift, fast | zero
 
 
 def _format_fields(x: np.ndarray) -> np.ndarray:
     """The %.17g field of each x[k], shape (x.size, _FIELD)."""
     d, E, fast = _decimal(x)
+    E[~fast] = 0  # any layout with the newline: these fields are redone below
     hi = d // 10**8
     lead = hi // 10**8
     quads = []
@@ -545,12 +570,13 @@ def _format_fields(x: np.ndarray) -> np.ndarray:
         words[:, 1 + j] = np.take(_QUAD_CHARS, q)
         np.maximum(nsig, np.take(_QUAD_NSIG[j], q), out=nsig)
     field[:, 6] = lead + ord("0")
-    key = ((x < 0) * (_E_MAX - _E_MIN + 1) + E - _E_MIN) * 17 + nsig - 1
-    key[~fast] = 0  # any layout: these fields are redone below
+    layout = np.maximum(E, _E_FIXED - 1) - _E_FIXED + 1
+    key = (np.signbit(x) * (_E_MAX - _E_FIXED + 2) + layout) * 17 + nsig - 1
     field &= np.take(_FIELD_MASK, key, axis=0)
     field |= np.take(_FIELD_CHARS, key, axis=0)
-    for k in np.flatnonzero(~fast):
-        text = np.frombuffer(f"{x[k]:.17g}".encode(), np.uint8)
-        field[k, : _FIELD - 1] = 0
-        field[k, : text.size] = text
+    words[:, 5] = np.take(_FIELD_TAILS, E - _E_MIN)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = (f"{v:.17g}" for v in x[slow].tolist())
+        field[slow, : _FIELD - 1] = _nul_padded(texts, _FIELD - 1)
     return field[:, :_FIELD]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -347,24 +348,51 @@ def test_trajectory_csv_bytes_equal_loop_oracle(tmp_path):
     assert got.read_bytes() == oracle.read_bytes()
 
 
+def _near_ties() -> list[float]:
+    """Doubles v = m 2**q (2**52 <= m < 2**53) with 1e-12 <= v < 1e-6 where
+    v 10**s, which has 17 digits before the point, is within 1e-14 of a
+    half-integer: m 5**s is within 1e-14 2**n of 2**(n - 1) mod 2**n, with
+    n = -(q + s) fractional bits, and each such residue gives m directly."""
+    out = []
+    for s in range(23, 29):
+        for q in range(
+            math.floor((16 - s) * math.log2(10)) - 53, math.floor((17 - s) * math.log2(10)) - 51
+        ):
+            n = -(q + s)
+            if n > 60:
+                continue
+            inv, w = pow(5**s, -1, 2**n), int(1e-14 * 2**n)
+            for k in range(2 ** (n - 1) - w, 2 ** (n - 1) + w + 1):
+                m = k * inv % 2**n
+                out += [m * 2.0**q for m in range(m, 2**53, 2**n) if m >= 2**52]
+    return out
+
 
 def _csv_corpus() -> np.ndarray:
     """Doubles at every edge of the %.17g writer, with both signs."""
     rng = np.random.default_rng(17)
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    powers = 10.0 ** np.arange(-8, 19)
+    powers = 10.0 ** np.arange(-300, 19)
     ints = np.concatenate([np.arange(1.0, 1000.0), rng.integers(1, 2**53, 4000).astype(float)])
+    # exact ties: m 2**-j with 18 significant digits, the last a 5; every one
+    # below 1e-6 is among them
+    binary_ties = [
+        m * 2.0**-j for j in range(20, 40) for m in range(1, 200, 2) if 10**17 <= m * 5**j < 10**18
+    ]
     parts = [
         [0.0, np.nan, np.inf, 5e-324, 3 * 5e-324, tiny, np.nextafter(tiny, 0), huge],
         powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
         [np.nextafter(1e-5, 0), 1e-5, np.nextafter(1e-4, 0), np.nextafter(1e16, 0), 1e16],
+        [np.nextafter(1e-280, 0), 1e-280, 1e-100, np.nextafter(1e-99, 0)],
         rng.uniform(1e-5, 1e-4, 4000),  # the %g switch to exponent notation
         rng.integers(2**52, 2**53, 8000) / 8.0,  # exact ties at the 17th digit
-        ints, ints / 1024, ints * 1e-5,
+        binary_ties, _near_ties(),
+        ints, ints / 1024, ints * 1e-5, ints * 1e-200,
     ]
     corpus = np.concatenate([np.asarray(p, dtype=float) for p in parts])
     random = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-12, 20, 200_000)
-    return np.concatenate([corpus, -corpus, random])
+    tiny_random = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-300, -5, 50_000)
+    return np.concatenate([corpus, -corpus, random, tiny_random])
 
 
 def test_trajectory_csv_bytes_equal_format_on_adversarial_corpus(tmp_path):
