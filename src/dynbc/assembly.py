@@ -29,9 +29,11 @@ nr = 2, ntheta = 2000).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack
 
 from .mesh import BulkSurfaceMesh
@@ -49,6 +51,7 @@ __all__ = [
 
 _EIGEN_TOL = 1e-10
 _EIGEN_MAXIT = 10_000
+_WIDE = 32  # blocks this wide take the level-3 solve; also its least row block
 
 
 class ConvergenceError(RuntimeError):
@@ -60,12 +63,26 @@ class BandCholesky:
 
     The upper band of A is stored densely as LAPACK band storage
     ``ab[kd + i - j, j] = A[i, j]`` (i <= j) and factored in place by
-    ``dpbtrf``; ``solve`` runs ``dpbtrs``.  The band is taken in A's own
-    ordering, so kd is the largest |i - j| over the nonzeros of A and the
-    band holds 8 (kd + 1) n bytes; the mesh builders number nodes to keep
-    kd small.  Duplicate COO entries are summed first.  Raises
+    ``dpbtrf`` into A = U^T U.  The band is taken in A's own ordering, so
+    kd is the largest |i - j| over the nonzeros of A and the band holds
+    8 (kd + 1) n bytes; the mesh builders number nodes to keep kd small.
+    Duplicate COO entries are summed first.  Raises
     ``numpy.linalg.LinAlgError`` when A is not square and exactly
     symmetric, or when it is not positive definite.
+
+    ``solve`` has two paths, chosen by the width of the right-hand side.
+    A vector or a block of fewer than ``_WIDE`` (32) columns goes to
+    ``dpbtrs``, one level-2 band sweep per column.  A wider block is solved
+    with level-3 products on row blocks of kb = max(kd, 32) rows (Du Croz,
+    Mayes and Radicati, LAPACK Working Note 21).  On them U is block upper
+    bidiagonal with diagonal blocks D_p and off-diagonal blocks L_p, and
+    U = diag(D_p) V with V unit block bidiagonal, its off-diagonal blocks
+    H_p = D_p^{-1} L_p, so A^{-1} = V^{-1} S V^{-T} with
+    S_p = D_p^{-1} D_p^{-T}.  The forward sweep is one product per block,
+    z_p = b_p - H_{p-1}^T z_{p-1}, and so is the backward sweep,
+    x_p = [S_p, -H_p] [z_p; x_{p+1}].  The blocks [S_p, -H_p], at most
+    16 kb n bytes (1.1 MB on disk 16x64), are built on the first wide
+    solve and live as long as the factor.
     """
 
     def __init__(self, A):
@@ -88,10 +105,54 @@ class BandCholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b for an (ndof,) vector or an (ndof, k) block; b is not modified."""
+        if np.ndim(b) == 2 and np.shape(b)[1] >= _WIDE:
+            return self._solve_wide(b)
         x, info = lapack.dpbtrs(self.ab, b)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrs failed (info={info})")
         return x
+
+    def _solve_wide(self, b) -> np.ndarray:
+        """The blocked solve of the class docstring; x is a new Fortran array."""
+        x = np.array(b, dtype=float, order="F")
+        if x.shape[0] != self.ab.shape[1]:
+            raise ValueError(
+                f"right-hand side must have {self.ab.shape[1]} rows, got {x.shape}"
+            )
+        W, kb = self._blocks, max(self.kd, _WIDE)
+        for p in range(1, len(W)):
+            x[p * kb : (p + 1) * kb] += W[p - 1][:, kb:].T @ x[(p - 1) * kb : p * kb]
+        for p in reversed(range(len(W))):
+            x[p * kb : (p + 1) * kb] = W[p] @ x[p * kb : (p + 2) * kb]
+        return x
+
+    @cached_property
+    def _blocks(self) -> list[np.ndarray]:
+        """[S_p, -H_p] for each row block p of kb rows ([S_p] for the last)."""
+        kd, n = self.ab.shape[0] - 1, self.ab.shape[1]
+        kb = max(kd, _WIDE)
+        # U[i, j] = ab[kd + i - j, j] is element kd + i + j kd of ab's
+        # column-major buffer; entries outside 0 <= j - i <= kd are masked
+        flat = self.ab.ravel(order="F")
+        step = flat.itemsize
+
+        def dense(r0, c0, rows, cols):  # U[r0 : r0 + rows, c0 : c0 + cols]
+            start = flat[kd + r0 + c0 * kd :]
+            view = as_strided(start, (rows, cols), (step, step * kd), writeable=False)
+            return np.tril(np.triu(view, r0 - c0), r0 - c0 + kd)
+
+        blocks = []
+        for lo in range(0, n, kb):
+            m, hi = min(kb, n - lo), min(lo + 2 * kb, n)
+            Dinv = lapack.dtrtri(dense(lo, lo, m, m))[0]
+            # dlauum forms the upper triangle of Dinv Dinv^T; a plain matmul
+            # moved estimate_CT's decayed energies 5x further from dpbtrs's
+            S = lapack.dlauum(Dinv)[0]
+            W = np.empty((m, hi - lo))
+            W[:, :m] = S + np.triu(S, 1).T
+            np.matmul(-Dinv, dense(lo, lo + m, m, hi - lo - m), out=W[:, m:])
+            blocks.append(W)
+        return blocks
 
 
 @dataclass

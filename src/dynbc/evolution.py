@@ -417,8 +417,9 @@ def _write_series(path, times, values, columns: str, header_lines: list[str]) ->
     after the correction), are formatted by Python itself, in one pass per
     block.  Rows are built about ``_CSV_BLOCK`` values at a time (part of a
     level, or several whole levels) as one byte array with NUL wherever a
-    row has no character; the NULs are deleted and the block is written
-    before the next, so memory does not grow with the number of time levels.
+    row has no character; the NULs are deleted and the block's bytes are
+    written to the binary file as they are before the next block is built,
+    so memory does not grow with the number of time levels.
     """
     values = np.asarray(values, dtype=np.float64)
     ncols = values.shape[1]
@@ -427,10 +428,9 @@ def _write_series(path, times, values, columns: str, header_lines: list[str]) ->
     ids = _nul_padded((f",{i}," for i in range(ncols)), len(str(ncols)) + 2)
     start = stamps.shape[1] + ids.shape[1]
     levels = max(1, _CSV_BLOCK // max(ncols, 1))  # whole levels per block
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(columns + "\n")
+    with open(path, "wb") as fh:
+        head = "".join(f"# {line}\n" for line in header_lines) + columns + "\n"
+        fh.write(head.encode())
         for n in range(0, len(values), levels):
             for lo in range(0, ncols, _CSV_BLOCK):
                 block = values[n : n + levels, lo : lo + _CSV_BLOCK]
@@ -440,7 +440,7 @@ def _write_series(path, times, values, columns: str, header_lines: list[str]) ->
                 grid[..., : stamps.shape[1]] = stamps[n : n + levels, None]
                 grid[..., stamps.shape[1] : start] = ids[lo : lo + block.shape[1]]
                 rows[:, start:] = fields
-                fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+                fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _nul_padded(texts, width: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -190,6 +192,33 @@ def test_band_cholesky_sums_duplicate_entries():
     assert A.nnz == len(vals)  # the caller's matrix is left as it was
     b = np.array([1.0, -2.0, 3.0])
     np.testing.assert_allclose(factor.solve(b), np.linalg.solve(dense, b), rtol=1e-14)
+
+
+def test_only_wide_blocks_take_the_blocked_solve(monkeypatch):
+    # a vector and 8 columns go to dpbtrs and build no blocks; 40 columns
+    # go to the blocked path, whose blocks are freed with the factor
+    s = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0)
+    calls = []
+    dpbtrs = assembly.lapack.dpbtrs
+
+    def counting_dpbtrs(ab, b):
+        calls.append(np.shape(b))
+        return dpbtrs(ab, b)
+
+    monkeypatch.setattr(assembly.lapack, "dpbtrs", counting_dpbtrs)
+    factor = assembly.BandCholesky(s.M + 0.01 * s.K)
+    B = np.random.default_rng(3).standard_normal((s.ndof, 40))
+    for b in (B[:, 0], B[:, :8]):
+        factor.solve(b)
+    assert calls == [(s.ndof,), (s.ndof, 8)]
+    assert "_blocks" not in vars(factor)
+    x = factor.solve(B)
+    assert len(calls) == 2
+    assert x.shape == B.shape and x.flags.f_contiguous
+    assert len(factor._blocks) == -(-s.ndof // max(factor.kd, 32))
+    block = weakref.ref(factor._blocks[0])
+    del factor
+    assert block() is None
 
 
 @pytest.mark.parametrize(

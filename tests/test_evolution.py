@@ -524,11 +524,13 @@ def test_band_cholesky_matches_sparse_lu(name):
     s = FACTOR_SYSTEMS[name]()
     dt = 0.7 / 12
     rng = np.random.default_rng(19)
+    # 40 columns take the blocked level-3 path, fewer take dpbtrs
+    wide = np.random.default_rng(20).standard_normal((s.ndof, 40))
     # both theta-step matrices, and K as smallest_eigenpair factors it
     for A in (s.M + 0.5 * dt * s.K, s.M + dt * s.K, s.K):
         factor, ref = BandCholesky(A), spla.splu(A.tocsc())
         B = rng.standard_normal((s.ndof, 5))
-        for b in (B[:, 0], B, np.asfortranarray(B)):
+        for b in (B[:, 0], B, np.asfortranarray(B), wide, np.asfortranarray(wide)):
             kept = b.copy()
             got, want = factor.solve(b), ref.solve(b)
             assert got.shape == b.shape
@@ -583,26 +585,28 @@ def test_propagator_bitwise_equals_loop_oracle(name, theta):
 @pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
 def test_block_backward_matches_one_column_solves(name, theta):
     # a multi-column solve may differ from one-column solves in the last
-    # bits on some LAPACK builds, so the block agrees to a few ulps, a
+    # bits (on some LAPACK builds with 5 columns; always with 40, which take
+    # the blocked level-3 path), so the block agrees to a few ulps, a
     # single column bitwise
     s = PROPAGATOR_SYSTEMS[name]()
-    T, nt, k = 0.7, 12, 5
+    T, nt = 0.7, 12
     prop = Propagator(s, T, nt, theta)
-    PhiT = np.random.default_rng(14).standard_normal((s.ndof, k))
-    phi0, bound = prop.backward_boundary(PhiT)
-    assert phi0.shape == (s.ndof, k)
-    assert bound.shape == (nt + 1, s.n_boundary, k)
-    for j in range(k):
-        adj = prop.backward(PhiT[:, j])
-        want0, want_b = adj.states[0], adj.states[:, s.boundary_nodes]
-        assert np.abs(phi0[:, j] - want0).max() <= 1e-13 * np.abs(want0).max()
-        assert np.abs(bound[:, :, j] - want_b).max() <= 1e-13 * np.abs(want_b).max()
-        one0, one_b = prop.backward_boundary(PhiT[:, j])
-        assert one0.tobytes() == want0.tobytes()
-        assert one_b.tobytes() == want_b.tobytes()
-    again0, again_b = prop.backward_boundary(PhiT)
-    assert again0.tobytes() == phi0.tobytes()
-    assert again_b.tobytes() == bound.tobytes()
+    for k in (5, 40):
+        PhiT = np.random.default_rng(14).standard_normal((s.ndof, k))
+        phi0, bound = prop.backward_boundary(PhiT)
+        assert phi0.shape == (s.ndof, k)
+        assert bound.shape == (nt + 1, s.n_boundary, k)
+        for j in range(k):
+            adj = prop.backward(PhiT[:, j])
+            want0, want_b = adj.states[0], adj.states[:, s.boundary_nodes]
+            assert np.abs(phi0[:, j] - want0).max() <= 1e-13 * np.abs(want0).max()
+            assert np.abs(bound[:, :, j] - want_b).max() <= 1e-13 * np.abs(want_b).max()
+            one0, one_b = prop.backward_boundary(PhiT[:, j])
+            assert one0.tobytes() == want0.tobytes()
+            assert one_b.tobytes() == want_b.tobytes()
+        again0, again_b = prop.backward_boundary(PhiT)
+        assert again0.tobytes() == phi0.tobytes()
+        assert again_b.tobytes() == bound.tobytes()
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -640,16 +644,18 @@ def test_step_is_self_adjoint_in_M(name, theta):
 @pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
 def test_block_levels_are_new_fortran_arrays(name, theta):
     # the band solve reads a Fortran-ordered block without a copy, and a
-    # caller may keep every level, as list(_levels(...)) does
+    # caller may keep every level, as list(_levels(...)) does; 5 columns
+    # are solved by dpbtrs, 40 by the blocked level-3 path
     s = PROPAGATOR_SYSTEMS[name]()
     prop = Propagator(s, 0.7, 12, theta)
-    X = np.random.default_rng(21).standard_normal((s.ndof, 5))
-    for block in (X, np.asfortranarray(X)):
-        levels = list(prop._levels(block))
-        assert all(level.flags.f_contiguous for level in levels)
-        for n, level in enumerate(levels[1:], start=1):
-            assert not np.shares_memory(level, block)
-            assert not any(np.shares_memory(level, prev) for prev in levels[:n])
+    for k in (5, 40):
+        X = np.random.default_rng(21).standard_normal((s.ndof, k))
+        for block in (X, np.asfortranarray(X)):
+            levels = list(prop._levels(block))
+            assert all(level.flags.f_contiguous for level in levels)
+            for n, level in enumerate(levels[1:], start=1):
+                assert not np.shares_memory(level, block)
+                assert not any(np.shares_memory(level, prev) for prev in levels[:n])
 
 
 def test_levels_solve_only_what_is_asked_for():

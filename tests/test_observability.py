@@ -99,12 +99,14 @@ class _CountingFactor(BandCholesky):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("mesh", ["interval", "disk"])
 def test_estimate_matches_per_sample_loop(mesh, theta, monkeypatch):
+    # 9 samples are stepped by dpbtrs; on the disk 40 more are stepped by
+    # the blocked level-3 solve
     if mesh == "interval":
-        s = interval_sys(n=16)
+        s, sample_counts = interval_sys(n=16), (9,)
     else:
-        s = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0)
-    T, nt, samples = 0.8, 24, 9
-    want = _loop_estimate_CT(s, T, nt, samples, 11, theta)
+        s, sample_counts = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0), (9, 40)
+    T, nt = 0.8, 24
+    wants = [_loop_estimate_CT(s, T, nt, samples, 11, theta) for samples in sample_counts]
     made = []
 
     def counting_factor(A):
@@ -112,14 +114,16 @@ def test_estimate_matches_per_sample_loop(mesh, theta, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(evolution, "BandCholesky", counting_factor)
-    rep = estimate_CT(s, T, nt, samples, seed=11, theta=theta)
-    assert len(made) == 1
-    assert made[0].solves == nt
-    assert len(rep.per_sample) == samples
-    for got_row, want_row in zip(rep.per_sample, want):
-        for got, ref in zip(got_row, want_row):
-            assert abs(got - ref) <= 1e-13 * abs(ref)
-    assert abs(rep.CT_estimate - max(r for _, _, r in want)) <= 1e-13 * rep.CT_estimate
+    for samples, want in zip(sample_counts, wants):
+        made.clear()
+        rep = estimate_CT(s, T, nt, samples, seed=11, theta=theta)
+        assert len(made) == 1
+        assert made[0].solves == nt
+        assert len(rep.per_sample) == samples
+        for got_row, want_row in zip(rep.per_sample, want):
+            for got, ref in zip(got_row, want_row):
+                assert abs(got - ref) <= 1e-13 * abs(ref)
+        assert abs(rep.CT_estimate - max(r for _, _, r in want)) <= 1e-13 * rep.CT_estimate
 
 
 def test_nonfinite_sample_energy_raises(monkeypatch):
