@@ -28,7 +28,6 @@ from .carleman import (
     weight_bounds,
 )
 from .control import (
-    ControlLadder,
     ControlProblem,
     ControlResult,
     NullControlReport,

@@ -37,6 +37,13 @@ need beta > 0 at every boundary node.  Every number in a config must be
 finite and not a boolean: JSON extensions such as NaN and Infinity are
 rejected.
 
+Memory: every solve runs on one band Cholesky factor of 8 (kd + 1) ndof
+bytes, with half-bandwidth kd = 1 on the interval, min(nx, ny) + 1 on the
+rectangle and ntheta + 1 on the disk (ndof = 1 + nr ntheta), whose centre
+node touches every node of the first ring.  So a disk with few rings and
+many angles is the costly shape: nr=2, ntheta=2000 needs a 64 MB band,
+plus 96 MB of blocks once 32 or more samples are solved as one block.
+
 Field specs: {"kind": "zero"} | {"kind": "constant", "value": c}
            | {"kind": "random", "seed": s} | {"kind": "eigenmode"};
 signal specs are the same without "eigenmode".

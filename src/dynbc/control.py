@@ -15,13 +15,12 @@ is solved in the M inner product by Lanczos with a fully reorthogonalized
 basis, whose iterates are those of conjugate gradients in exact arithmetic
 (each operator application is one backward plus one forward solve, all on
 one factored Propagator).  A ladder of penalties shares Lambda and the
-right-hand side, and the Krylov basis does not depend on the shift, so a
-``ControlLadder`` solves every rung in one basis with one Gramian apply per
-iteration: each rung solves its own small tridiagonal system and stops at
-the first iteration where its residual is within cg_tol of ||b||_M, and is
-bit for bit the solve of its eps alone.  ``synthesize_ladder`` runs
-``synthesize_control`` on every rung of one ladder; the first call makes
-the shared solve.
+right-hand side, and the Krylov basis does not depend on the shift, so
+``synthesize_ladder`` solves every rung in one basis with one Gramian apply
+per iteration: each rung solves its own small tridiagonal system and stops
+at the first iteration where its residual is within cg_tol of ||b||_M, and
+is bit for bit the solve of its eps alone.  ``synthesize_control`` is a
+ladder of one.
 
 The control is the negated theta-level adjoint trace, g = -phi_G, and
 drives the state to exactly U(T) = eps PhiHat_T, up to the
@@ -56,7 +55,6 @@ from .assembly import DiscreteSystem, inner_X2, norm_X2
 from .evolution import BoundarySignal, Propagator, _theta_levels
 
 __all__ = [
-    "ControlLadder",
     "ControlProblem",
     "ControlResult",
     "NullControlReport",
@@ -247,85 +245,59 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
     return solved
 
 
-class ControlLadder:
-    """Control problems that differ only in eps, solved in one Krylov space.
+def _solve_ladder(problems):
+    """(Propagator, b, {eps: (PhiHat_T, iterations, converged)}) of a ladder.
 
-    The problems are checked on construction: ValueError when there are
-    none, or when any two differ in sys, U0, T, nt, theta, cg_tol or
-    cg_maxit.  The shared work, one Propagator, the right-hand side
-    b = e^{T A} U0 and one multi-shift Lanczos solve over every distinct eps,
-    runs once, in the first ``synthesize_control(problem, ladder=...)``
-    call, and the later calls only finish their rung from it.  Every rung is
-    bit for bit what a ladder of its eps alone gives.
+    ValueError when there are no problems, or when any two differ in sys,
+    U0, T, nt, theta, cg_tol or cg_maxit.  One Propagator, the right-hand
+    side b = e^{T A} U0 and one multi-shift Lanczos solve over every
+    distinct eps serve every rung.
     """
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        if not self.problems:
-            raise ValueError("need at least one control problem")
-        for other in self.problems[1:]:
-            self._check(other)
-        self._shared = None
-
-    def _check(self, problem: ControlProblem) -> None:
-        first = self.problems[0]
-        same = (
-            problem.sys is first.sys
-            and np.array_equal(problem.U0, first.U0)
-            and (problem.T, problem.nt, problem.theta, problem.cg_tol, problem.cg_maxit)
-            == (first.T, first.nt, first.theta, first.cg_tol, first.cg_maxit)
-        )
-        if not same:
+    if not problems:
+        raise ValueError("need at least one control problem")
+    first = problems[0]
+    key = (first.T, first.nt, first.theta, first.cg_tol, first.cg_maxit)
+    for other in problems[1:]:
+        if not (
+            other.sys is first.sys
+            and np.array_equal(other.U0, first.U0)
+            and (other.T, other.nt, other.theta, other.cg_tol, other.cg_maxit) == key
+        ):
             raise ValueError("a control ladder's problems may differ only in eps")
-
-    def _rung(self, problem: ControlProblem):
-        """(Propagator, b, PhiHat_T, iterations, converged) of problem's eps.
-
-        PhiHat_T is a fresh array on every call, so results never share it.
-        """
-        self._check(problem)
-        eps_list = list(dict.fromkeys(p.eps for p in self.problems))
-        if problem.eps not in eps_list:
-            raise ValueError(f"eps={problem.eps} is not a rung of this ladder")
-        if self._shared is None:
-            first = self.problems[0]
-            prop = Propagator(first.sys, first.T, first.nt, first.theta)
-            b = prop.forward_final(np.asarray(first.U0, dtype=float), None)
-            solved = _cg_in_M(
-                first.sys,
-                lambda v: gramian_apply(prop, v),
-                b,
-                eps_list,
-                first.cg_tol,
-                first.cg_maxit,
-            )
-            self._shared = (prop, b, dict(zip(eps_list, solved)))
-        prop, b, solved = self._shared
-        phi_T, iterations, converged = solved[problem.eps]
-        return prop, b, phi_T.copy(), iterations, converged
+    prop = Propagator(first.sys, first.T, first.nt, first.theta)
+    b = prop.forward_final(np.asarray(first.U0, dtype=float), None)
+    eps_list = list(dict.fromkeys(p.eps for p in problems))
+    solved = _cg_in_M(
+        first.sys,
+        lambda v: gramian_apply(prop, v),
+        b,
+        eps_list,
+        first.cg_tol,
+        first.cg_maxit,
+    )
+    return prop, b, dict(zip(eps_list, solved))
 
 
-def synthesize_control(
-    problem: ControlProblem, *, ladder: ControlLadder | None = None
-) -> ControlResult:
+def synthesize_control(problem: ControlProblem, *, _ladder=None) -> ControlResult:
     """Penalized null-control synthesis for one eps.
 
     PhiHat_T solves (Lambda + eps I) PhiHat_T = e^{T A} U0 in the M inner
     product by Lanczos with a fully reorthogonalized basis, stopped at the
-    first iteration whose CG residual is within cg_tol of ||b||_M.  With a
-    ladder that holds a problem equal to this one but for eps (ValueError
-    otherwise), PhiHat_T is this eps's rung of the ladder's one solve, and
-    the result is bit for bit the one without the ladder.
+    first iteration whose CG residual is within cg_tol of ||b||_M.  The
+    result equals ``synthesize_ladder([problem])[0]`` bit for bit.
 
     The control g = -phi_G and PhiHat(0) come from one backward solve of
     PhiHat_T, and the controlled forward run records the achieved final state
     U(T) = eps PhiHat_T and its norm.  The reported cost is the penalized
     objective 0.5 ||g||^2 + (1 / 2 eps) ||U(T)||_M^2, which g minimizes;
     the module docstring states what that implies across a ladder.
+
+    ``_ladder`` is not API: ``synthesize_ladder`` passes its one solve
+    through it, so that each rung is still one call of this function.
     """
-    if ladder is None:
-        ladder = ControlLadder([problem])
-    prop, b, phi_T, iterations, converged = ladder._rung(problem)
+    prop, b, solved = _solve_ladder([problem]) if _ladder is None else _ladder
+    phi_T, iterations, converged = solved[problem.eps]
+    phi_T = phi_T.copy()  # rungs of one eps never share it
     sys, eps = problem.sys, problem.eps
     if iterations == 0:
         g_vals = np.zeros((problem.nt, sys.n_boundary))
@@ -364,14 +336,14 @@ def synthesize_ladder(problems) -> list[ControlResult]:
     """Penalized null-control synthesis for a ladder of penalties.
 
     The problems may differ only in eps (ValueError otherwise); results come
-    back in their order, and eps need not be sorted or distinct.  One
-    ``ControlLadder`` holds them, so every rung comes from one multi-shift
-    Lanczos solve with one Gramian apply per iteration of the slowest rung;
-    each result is ``synthesize_control(problem, ladder=...)`` and equals
-    ``synthesize_control(problem)`` bit for bit.
+    back in their order, and eps need not be sorted or distinct.  Every rung
+    comes from one multi-shift Lanczos solve with one Gramian apply per
+    iteration of the slowest rung, and equals ``synthesize_control(problem)``
+    bit for bit.
     """
-    ladder = ControlLadder(problems)
-    return [synthesize_control(problem, ladder=ladder) for problem in ladder.problems]
+    problems = list(problems)
+    ladder = _solve_ladder(problems)
+    return [synthesize_control(problem, _ladder=ladder) for problem in problems]
 
 
 def verify_null(problem: ControlProblem, result: ControlResult) -> NullControlReport:

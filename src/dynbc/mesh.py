@@ -161,7 +161,7 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
     return BulkSurfaceMesh(
         dim=2,
         bulk_nodes=nodes,
-        bulk_cells=_orient_ccw(nodes, cells),
+        bulk_cells=cells,
         boundary_nodes=boundary,
         boundary_edges=edges,
         outward_normals=normals,
@@ -206,7 +206,7 @@ def build_disk_mesh(rho: float, nr: int, ntheta: int) -> BulkSurfaceMesh:
     return BulkSurfaceMesh(
         dim=2,
         bulk_nodes=nodes,
-        bulk_cells=_orient_ccw(nodes, cells),
+        bulk_cells=cells,
         boundary_nodes=boundary,
         boundary_edges=edges,
         outward_normals=normals,
@@ -270,6 +270,7 @@ def validate_mesh(mesh: BulkSurfaceMesh) -> None:
     - boundary node indices are valid bulk indices,
     - the boundary of the cell complex equals the stored boundary set,
     - 1D meshes have exactly two boundary nodes and no edges,
+    - 2D cells are counterclockwise (positive signed area),
     - normals have unit length within 1e-12.
     """
     nb = mesh.boundary_nodes
@@ -282,6 +283,9 @@ def validate_mesh(mesh: BulkSurfaceMesh) -> None:
         assert set(np.flatnonzero(counts == 1)) == set(nb.tolist())
     else:
         cells = mesh.bulk_cells
+        a, b, c = (mesh.bulk_nodes[cells[:, k]] for k in range(3))
+        ab, ac = b - a, c - a
+        assert np.all(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0] > 0.0)
         facets = np.sort(
             np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]),
             axis=1,
@@ -291,20 +295,6 @@ def validate_mesh(mesh: BulkSurfaceMesh) -> None:
         stored = np.unique(np.sort(mesh.boundary_edges, axis=1), axis=0)
         assert np.array_equal(complex_boundary, stored)
         assert set(np.unique(mesh.boundary_edges).tolist()) == set(nb.tolist())
-
-
-def _orient_ccw(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Flip triangles with negative signed area."""
-    a = nodes[cells[:, 0]]
-    b = nodes[cells[:, 1]]
-    c = nodes[cells[:, 2]]
-    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
-    out = cells.copy()
-    flip = area2 < 0
-    out[flip, 1], out[flip, 2] = cells[flip, 2], cells[flip, 1]
-    return out
 
 
 def _max_cell_diameter(nodes: np.ndarray, cells: np.ndarray) -> float:

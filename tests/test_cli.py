@@ -157,6 +157,57 @@ def test_non_finite_or_boolean_number_exit_2(tmp_path, capsys, field, edit):
     assert not out.exists()
 
 
+def _control(**params):
+    return lambda c: c.update(task="control", params={
+        "u0": {"kind": "eigenmode"}, "eps": 1e-2, **params})
+
+
+# (id, field named in the error, edit): an edit is a function of the base
+# config, the text of the config file, or None for no config file at all
+_INVALID_CONFIG_CASES = [
+    ("no-file", "config", None),
+    ("not-json", "config", '{"task": "simulate",'),
+    ("not-object", "config", "[1, 2]"),
+    ("wrong-type", "geometry", lambda c: c.update(geometry="interval")),
+    ("not-positive", "gamma", lambda c: c.update(gamma=0)),
+    ("negative", "delta", lambda c: c.update(delta=-0.5)),
+    ("boolean-integer", "nt", lambda c: c.update(nt=True)),
+    ("b-not-above-a", "geometry.b", lambda c: c["geometry"].update(b=0.0)),
+    ("geometry-kind", "geometry.kind", lambda c: c["geometry"].update(kind="ball")),
+    ("beta-name", "beta.name", lambda c: c.update(beta={
+        "kind": "profile", "name": "gaussian", "base": 1.0, "amplitude": 0.5})),
+    ("beta-kind", "beta.kind", lambda c: c.update(beta={"kind": "linear"})),
+    ("theta", "theta", lambda c: c.update(theta=0.7)),
+    ("m", "params.m", lambda c: c.update(task="carleman", params={
+        "lambda_grid": [1.0], "R_grid": [1.0], "m": 1, "samples": 1, "seed": 0})),
+    ("cg_tol", "params.cg_tol", _control(cg_tol=1)),
+    ("cg_maxit", "params.cg_maxit", _control(cg_maxit=0)),
+    ("output_dir", "output_dir", lambda c: c.update(output_dir=3)),
+    ("field-kind", "params.u0.kind", lambda c: c["params"].update(u0={"kind": "ones"})),
+    ("signal-kind", "params.g.kind", lambda c: c["params"].update(g={"kind": "eigenmode"})),
+]
+
+
+@pytest.mark.parametrize(
+    "field, edit", [case[1:] for case in _INVALID_CONFIG_CASES],
+    ids=[case[0] for case in _INVALID_CONFIG_CASES],
+)
+def test_invalid_config_exit_2(tmp_path, capsys, field, edit):
+    path = tmp_path / "config.json"
+    if callable(edit):
+        cfg = base_config()
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+    elif edit is not None:
+        path.write_text(edit)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {field}:")
+    assert not out.exists()
+
+
 def _strict_json(path):
     def reject(name):
         raise ValueError(f"non-finite JSON constant {name}")
@@ -449,3 +500,86 @@ def test_control_csv_bytes_equal_loop_oracle(tmp_path, monkeypatch):
                     row = (t, j, result.g.values[n, j])
                     fh.write(",".join(fmt(v) for v in row) + "\n")
         assert (out / f"control_{idx}.csv").read_bytes() == oracle.read_bytes()
+
+
+def _ladder_config(eps, **params):
+    cfg = base_config(task="control", T=1.0, nt=32)
+    cfg["geometry"]["n"] = 16
+    cfg["params"] = {"u0": {"kind": "eigenmode"}, "eps": eps, **params}
+    return cfg
+
+
+def test_control_ladder_rungs_equal_runs_of_their_eps_alone(tmp_path):
+    ladder = [1e-2, 1e-4, 1e-6]
+    out = tmp_path / "ladder"
+    assert main(["run", write_config(tmp_path, _ladder_config(ladder)), "--out", str(out)]) == 0
+
+    def result(path):
+        data = json.loads(path.read_text())
+        del data["config_hash"]
+        return data
+
+    for k, eps in enumerate(ladder):
+        alone = tmp_path / f"alone_{k}"
+        path = write_config(tmp_path, _ladder_config(eps), name=f"alone_{k}.json")
+        assert main(["run", path, "--out", str(alone)]) == 0
+        rung = (out / f"control_{k}.csv").read_bytes().split(b"\n", 1)
+        single = (alone / "control_0.csv").read_bytes().split(b"\n", 1)
+        assert rung[0] != single[0] and rung[1] == single[1]
+        assert result(out / f"result_{k}.json") == result(alone / "result_0.json")
+
+
+def test_non_converged_rungs_are_flagged_in_the_summary(tmp_path):
+    # the eps=1e-2 rung converges at iteration 5, the others need 7 and 9
+    cfg = _ladder_config([1e-2, 1e-4, 1e-6], cg_maxit=6)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert sorted(k for k in summary if k.startswith("non_converged")) == [
+        "non_converged_eps1", "non_converged_eps2"]
+    assert all(summary[f"non_converged_eps{k}"] is True for k in (1, 2))
+    converged = [json.loads((out / f"result_{k}.json").read_text())["converged"]
+                 for k in range(3)]
+    assert converged == [True, False, False]
+
+
+def _trajectory_bytes(tmp_path, sys_, U0, g, cfg, out):
+    """The simulate trajectory CSV the library writes for these inputs."""
+    config_hash = json.loads((out / "manifest.json").read_text())["config_hash"]
+    traj = dynbc.solve_forward(sys_, U0, g, cfg["T"], cfg["nt"], cfg["theta"])
+    path = tmp_path / "library.csv"
+    dynbc.trajectory_to_csv(traj, str(path), header_lines=[f"config_hash={config_hash}"])
+    return path.read_bytes()
+
+
+def test_profile_beta_on_a_disk(tmp_path, capsys):
+    cfg = base_config(geometry={"kind": "disk", "rho": 1.0, "nr": 2, "ntheta": 8})
+    cfg["beta"] = {"kind": "profile", "name": "cosine_bump", "base": 1.0, "amplitude": 0.5}
+    cfg["params"]["u0"] = {"kind": "random", "seed": 3}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    # base + amplitude (1 + cos(polar angle)) / 2 at the boundary nodes
+    mesh = dynbc.build_disk_mesh(1.0, 2, 8)
+    x, y = mesh.bulk_nodes[mesh.boundary_nodes].T
+    beta = 1.0 + 0.5 * (1.0 + np.cos(np.arctan2(y, x))) / 2.0
+    sys_ = dynbc.assemble(mesh, 1.0, 0.0, beta)
+    U0 = np.random.default_rng(3).standard_normal(sys_.ndof)
+    want = _trajectory_bytes(tmp_path, sys_, U0, None, cfg, out)
+    assert (out / "simulate_trajectory.csv").read_bytes() == want
+    # the realized minimum is the base, at polar angle pi
+    cfg["beta0"] = 1.001
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: beta0:")
+
+
+def test_constant_boundary_signal(tmp_path):
+    cfg = base_config()
+    cfg["params"]["g"] = {"kind": "constant", "value": 2.0}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    sys_ = dynbc.assemble(dynbc.build_interval_mesh(0.0, 1.0, 8), 1.0, 0.0, 1.0)
+    g = dynbc.BoundarySignal(np.full((cfg["nt"] + 1, sys_.n_boundary), 2.0))
+    want = _trajectory_bytes(tmp_path, sys_, np.zeros(sys_.ndof), g, cfg, out)
+    assert (out / "simulate_trajectory.csv").read_bytes() == want
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["simulate_final_norm"] > 0.0

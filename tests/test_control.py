@@ -6,7 +6,6 @@ import pytest
 
 import dynbc.control
 from dynbc import (
-    ControlLadder,
     ControlProblem,
     Propagator,
     assemble,
@@ -417,7 +416,7 @@ def test_repeated_seed_shift_gets_its_own_iterate():
 
 def test_control_with_ladder_solves_once_and_checks_its_rung(ladder_case, monkeypatch):
     problems = ladder_problems(ladder_case, LADDER)
-    ladder = ControlLadder(problems)
+    singles = [synthesize_control(problem) for problem in problems]
     applies = []
 
     def counting(prop, PhiT):
@@ -425,18 +424,37 @@ def test_control_with_ladder_solves_once_and_checks_its_rung(ladder_case, monkey
         return gramian_apply(prop, PhiT)
 
     monkeypatch.setattr(dynbc.control, "gramian_apply", counting)
-    [single] = ladder_problems(ladder_case, [LADDER[1]])
-    rung = synthesize_control(single, ladder=ladder)
-    seed = synthesize_control(problems[-1], ladder=ladder)
-    assert len(applies) == seed.iterations
-    want = synthesize_ladder(problems)[1]
-    assert rung.phi_T.tobytes() == want.phi_T.tobytes()
-    assert rung.iterations == want.iterations
-    for eps, U0 in ((1e-3, single.U0), (LADDER[1], 2.0 * single.U0)):
-        [other] = ladder_problems(ladder_case, [eps])
-        other.U0 = U0
+    results = synthesize_ladder(problems)
+    assert len(applies) == max(r.iterations for r in results) == results[-1].iterations
+    for rung, alone in zip(results, singles):
+        assert (rung.iterations, rung.converged) == (alone.iterations, alone.converged)
+        for name in ("phi_T", "phi_0", "final_state"):
+            assert getattr(rung, name).tobytes() == getattr(alone, name).tobytes()
+        assert rung.g.values.tobytes() == alone.g.values.tobytes()
+        assert (rung.final_norm, rung.cost, rung.true_residual) == (
+            alone.final_norm, alone.cost, alone.true_residual)
+    for field, value in (("U0", 2.0 * problems[1].U0), ("T", 2.0)):
+        other = dataclasses.replace(problems[1], **{field: value})
         with pytest.raises(ValueError):
-            synthesize_control(other, ladder=ladder)
+            synthesize_ladder(problems + [other])
+
+
+def test_ladder_finishes_each_rung_by_one_synthesize_control_call(ladder_case, monkeypatch):
+    # the bench tracer reads each rung's iterations from these calls
+    order = (1e-4, 1e-6, 1e-2, 1e-4)
+    problems = ladder_problems(ladder_case, order)
+    calls = []
+    synthesize = dynbc.control.synthesize_control
+
+    def recording(problem, **kwargs):
+        result = synthesize(problem, **kwargs)
+        calls.append((problem, result))
+        return result
+
+    monkeypatch.setattr(dynbc.control, "synthesize_control", recording)
+    results = synthesize_ladder(problems)
+    assert [p for p, _ in calls] == problems
+    assert all(a is b for (_, a), b in zip(calls, results))
 
 
 def test_ladder_rejects_problems_that_differ_beyond_eps():

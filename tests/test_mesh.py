@@ -10,7 +10,7 @@ from dynbc import (
     build_rect_mesh,
     validate_mesh,
 )
-from dynbc.mesh import _max_cell_diameter, _orient_ccw
+from dynbc.mesh import _max_cell_diameter
 
 
 def test_interval_basic():
@@ -244,7 +244,7 @@ def _loop_disk_arrays(rho, nr, ntheta):
     normals = coords / np.linalg.norm(coords, axis=1, keepdims=True)
     return {
         "bulk_nodes": nodes,
-        "bulk_cells": _orient_ccw(nodes, cells),
+        "bulk_cells": cells,
         "boundary_nodes": boundary,
         "boundary_edges": edges,
         "outward_normals": normals,
@@ -269,6 +269,11 @@ def test_validate_mesh_rejects_wrong_boundary_edges():
     edges[0] = (m.boundary_nodes[0], m.n_nodes // 2)
     with pytest.raises(AssertionError):
         validate_mesh(dataclasses.replace(m, boundary_edges=edges))
+    # one clockwise cell, with the cell complex and boundary unchanged
+    cells = m.bulk_cells.copy()
+    cells[4] = cells[4, [0, 2, 1]]
+    with pytest.raises(AssertionError):
+        validate_mesh(dataclasses.replace(m, bulk_cells=cells))
 
 
 def test_eta_laplacian_matches_second_differences():
