@@ -15,7 +15,6 @@ from dynbc import (
     build_eta,
     build_interval_mesh,
     carleman_sweep,
-    eval_weights,
     pointwise_lambda_floor,
     weight_bounds,
 )
@@ -28,9 +27,9 @@ print(f"auxiliary field: sup = {eta.sup_norm}, "
 
 params = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
 times = np.linspace(0.0, 1.0, 129)[1:-1]
-w = eval_weights(params, times)
 wb = weight_bounds(params, times)
-print(f"theta at T/2 = {w.theta[len(times) // 2]:.4f} (analytic minimum 4/T^2 = 4)")
+print(f"min theta on the grid = theta(T/2) = {wb['min_theta']:.4f} "
+      f"(analytic minimum 4/T^2 = 4)")
 print(f"min theta*xi on the grid  = {wb['min_theta_xi']:.4f} "
       f">= analytic floor {wb['theta_xi_floor_analytic']:.4f}")
 print(f"min theta^3 xi^3 exp(-2 R alpha) on [T/4, 3T/4] = "

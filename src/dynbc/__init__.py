@@ -19,11 +19,9 @@ from .assembly import (
 from .carleman import (
     CarlemanParams,
     SweepResult,
-    WeightEval,
     carleman_lhs,
     carleman_rhs,
     carleman_sweep,
-    eval_weights,
     pointwise_lambda_floor,
     weight_bounds,
 )

@@ -52,10 +52,14 @@ Every run writes a manifest.json with the config, its hash, package and
 library versions, summary scalars, and the list of artifacts written (a
 failed run lists only the files it finished writing).  CSV artifacts
 carry the config hash in a comment header and are byte-identical across
-runs with the same config and seed.  Exit codes: 0 success, 1 numerical
-failure (manifest flags it; this includes a non-finite value that would
-have to be written to JSON), 2 invalid config or an output directory that
-cannot be created (single-line error naming the offending field).
+runs with the same config and seed on one numpy/scipy/BLAS build and BLAS
+thread count (blocks of 32 or more samples are solved by BLAS level-3
+products, which move by up to 3.7e-14 between 1 and 2 threads).  Exit
+codes: 0 success, 1 numerical failure (manifest flags it; this includes a
+non-finite value that would have to be written to JSON and a control rung
+that stops at cg_maxit unconverged, after every rung's artifacts are
+written), 2 invalid config or an output directory that cannot be created
+(single-line error naming the offending field).
 """
 
 from __future__ import annotations
@@ -591,6 +595,12 @@ def _run_control(sys_, mesh, config, out, manifest) -> None:
                 config.config_hash,
             )
     manifest["summary"]["U0_norm"] = norm_X2(sys_, U0)
+    stalled = [idx for idx, result in enumerate(results) if not result.converged]
+    if stalled:
+        # every rung's artifacts are written; run() records the failure
+        raise RuntimeError(
+            f"control rungs {stalled} stopped at cg_maxit without meeting cg_tol"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

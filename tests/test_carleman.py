@@ -12,16 +12,18 @@ from dynbc import (
     build_disk_mesh,
     build_eta,
     build_interval_mesh,
+    build_rect_mesh,
     carleman_lhs,
     carleman_rhs,
     carleman_sweep,
-    eval_weights,
     norm_X2,
     pointwise_lambda_floor,
+    recover_normal_flux,
     solve_backward,
     weight_bounds,
 )
 from dynbc import carleman
+from dynbc.assembly import _unit_normal_draws
 from dynbc.carleman import (
     _cell_gradient_ops,
     _level_weights,
@@ -40,6 +42,26 @@ def unit_interval_setup(n=8, nt=16, beta=1.0):
     return mesh, s, eta, adj
 
 
+def weighted_surface_sum(s, adj, p, comb):
+    """dt-sum over interior levels of theta xi exp(-2 R alpha) comb^2, lumped on Gamma."""
+    t = adj.times[1:-1, None]
+    theta = 1.0 / (t * (p.T - t))
+    sup = p.eta.sup_norm
+    xi = np.exp(p.lam * (p.m * sup + p.eta.values[s.boundary_nodes]))
+    alpha = theta * (np.exp(2.0 * p.lam * p.m * sup) - xi)
+    return adj.dt * np.sum(theta * xi * np.exp(-2.0 * p.R * alpha) * comb**2 * s.m_surf)
+
+
+def direct_rhs(s, adj, p):
+    """The rhs with d_t phi_G + delta LB(phi_G) - gamma d_nu phi from the flux recoveries."""
+    flux = recover_normal_flux(s, adj)
+    # the equation recovery is d_t phi_G + delta LB(phi_G) - beta phi_G, so
+    # adding beta phi_G back isolates d_t phi_G + delta LB(phi_G)
+    beta_phi_g = s.beta * adj.states[:, s.boundary_nodes]
+    comb = (flux.equation + beta_phi_g - flux.variational)[1:-1]
+    return weighted_surface_sum(s, adj, p, comb)
+
+
 def test_params_validation():
     eta = build_eta(build_interval_mesh(0, 1, 4))
     with pytest.raises(ValueError):
@@ -55,18 +77,25 @@ def test_theta_closed_form():
     eta = build_eta(mesh)
     assert eta.sup_norm == pytest.approx(1.0)
     p = CarlemanParams(lam=1.0, R=1.0, m=2.0, T=1.0, eta=eta)
-    w = eval_weights(p, np.array([0.5]))
-    assert w.theta[0] == pytest.approx(4.0)
+    assert weight_bounds(p, np.array([0.5]))["min_theta"] == pytest.approx(4.0)
+    # the level weights' ratio theta^2 xi^2 at t = T/2
+    xi, q = _space_weights(p)
+    t3x3e, txe = _level_weights(p, xi, xi**3, q, np.array([0.5]))
+    np.testing.assert_allclose(t3x3e / txe, 16.0 * xi**2, rtol=1e-14)
 
 
 def test_xi_and_alpha_closed_forms():
     mesh = build_interval_mesh(0, 2, 8)
     eta = build_eta(mesh)
     p = CarlemanParams(lam=1.0, R=1.0, m=2.0, T=1.0, eta=eta)
-    w = eval_weights(p, np.array([0.5]))
+    xi, q = _space_weights(p)
     boundary = mesh.boundary_nodes[0]
-    assert w.xi[boundary] == pytest.approx(math.exp(2.0))  # eta = 0 there
-    assert w.alpha[0, boundary] == pytest.approx(4 * (math.exp(4) - math.exp(2)))
+    assert xi[boundary] == pytest.approx(math.exp(2.0))  # eta = 0 there
+    # alpha = theta p, with theta(T/2) = 4
+    alpha = 4 * (math.exp(4) - math.exp(2))
+    assert 4 * q[boundary] == pytest.approx(alpha)
+    _, txe = _level_weights(p, xi, xi**3, q, np.array([0.5]))
+    assert txe[boundary] == pytest.approx(4 * math.exp(2.0) * math.exp(-2 * alpha))
 
 
 def test_weights_reject_endpoint_times():
@@ -75,7 +104,7 @@ def test_weights_reject_endpoint_times():
     p = CarlemanParams(lam=1.0, R=1.0, m=2.0, T=1.0, eta=eta)
     for t in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            eval_weights(p, np.array([t]))
+            weight_bounds(p, np.array([t]))
 
 
 def test_weight_invariants_on_grid():
@@ -83,15 +112,18 @@ def test_weight_invariants_on_grid():
     eta = build_eta(mesh)
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
     times = np.linspace(0, 1, 65)[1:-1]
-    w = eval_weights(p, times)
-    assert np.all(w.theta >= 4.0 - 1e-14)
+    assert weight_bounds(p, times)["min_theta"] >= 4.0 - 1e-14
+    xi, q = _space_weights(p)
     xi_floor = math.exp(p.lam * p.m * eta.sup_norm)
     xi_ceil = math.exp(p.lam * (p.m + 1) * eta.sup_norm)
-    assert np.all(w.xi >= xi_floor - 1e-14)
-    assert np.all(w.xi <= xi_ceil + 1e-14)
-    assert np.all(w.alpha > 0)
-    assert np.all((w.exp_factor > 0) | np.isclose(w.exp_factor, 0))
-    assert np.all(w.exp_factor < 1)
+    assert np.all(xi >= xi_floor - 1e-14)
+    assert np.all(xi <= xi_ceil + 1e-14)
+    assert np.all(q > 0)  # so alpha = theta p > 0
+    for t in times:
+        _, txe = _level_weights(p, xi, xi**3, q, np.array([t]))
+        exp_factor = txe / (xi / (t * (1.0 - t)))
+        assert np.all((exp_factor > 0) | np.isclose(exp_factor, 0))
+        assert np.all(exp_factor < 1)
 
 
 def test_lhs_zero_state():
@@ -101,8 +133,7 @@ def test_lhs_zero_state():
         times=adj.times, states=np.zeros_like(adj.states), theta=0.5, dt=adj.dt
     )
     assert carleman_lhs(s, zero, p) == 0.0
-    assert carleman_rhs(s, zero, p, "equation") == 0.0
-    assert carleman_rhs(s, zero, p, "direct") == 0.0
+    assert carleman_rhs(s, zero, p) == 0.0
 
 
 def test_lhs_quadratic_scaling():
@@ -163,17 +194,9 @@ def test_lhs_brute_force_oracle():
 def test_rhs_equation_path_is_weighted_beta_trace():
     mesh, s, eta, adj = unit_interval_setup(beta=1.7)
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
-    w = eval_weights(p, adj.times[1:-1])
-    bnodes = mesh.boundary_nodes
-    phi_g = adj.states[1:-1][:, bnodes]
-    expected = adj.dt * np.sum(
-        w.theta[:, None]
-        * w.xi[None, bnodes]
-        * w.exp_factor[:, bnodes]
-        * (s.beta[None, :] * phi_g) ** 2
-        * s.m_surf[None, :]
-    )
-    assert carleman_rhs(s, adj, p, "equation") == pytest.approx(expected, rel=1e-14)
+    phi_g = adj.states[1:-1][:, mesh.boundary_nodes]
+    expected = weighted_surface_sum(s, adj, p, s.beta[None, :] * phi_g)
+    assert carleman_rhs(s, adj, p) == pytest.approx(expected, rel=1e-14)
 
 
 def test_rhs_paths_agree_and_improve():
@@ -185,21 +208,14 @@ def test_rhs_paths_agree_and_improve():
         datum /= norm_X2(s, datum)
         adj = solve_backward(s, datum, 1.0, nt, 0.5)
         p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
-        re = carleman_rhs(s, adj, p, "equation")
-        rd = carleman_rhs(s, adj, p, "direct")
+        re = carleman_rhs(s, adj, p)
+        rd = direct_rhs(s, adj, p)
         return abs(rd - re) / re
 
     coarse = reldiff(32, 128)
     fine = reldiff(64, 256)
     assert coarse <= 0.2
     assert fine < coarse
-
-
-def test_rhs_rejects_unknown_path():
-    mesh, s, eta, adj = unit_interval_setup()
-    p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
-    with pytest.raises(ValueError):
-        carleman_rhs(s, adj, p, "sideways")
 
 
 def test_sweep_deterministic_and_positive():
@@ -272,7 +288,7 @@ def test_nodal_grad_sq_bitwise_equals_per_time_oracle(geometry):
         for G in grads:
             cell_sq += (G @ phi) ** 2
         want[n] = (scatter @ cell_sq) / s.m_bulk
-    got = _nodal_grad_sq(s, states)
+    got = _nodal_grad_sq(s, states, (grads, scatter))
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
@@ -309,24 +325,6 @@ def test_sweep_evaluates_weights_once_per_level_and_cell(monkeypatch):
         assert level_calls == [(1,)] * (len(grid) * (nt - 1))
 
 
-def test_level_weights_bitwise_equal_eval_weights():
-    mesh = build_disk_mesh(1.0, 8, 32)
-    eta = build_eta(mesh)
-    nt = 32
-    times = np.linspace(0.0, 0.5, nt + 1)
-    for lam in (1.0, 4.0, 16.0):
-        for R in (1.0, 2.0, 4.0):
-            params = CarlemanParams(lam=lam, R=R, m=1.5, T=0.5, eta=eta)
-            xi, p = _space_weights(params)
-            xi3 = xi**3
-            for n in range(1, nt):
-                t3x3e, txe = _level_weights(params, xi, xi3, p, times[n : n + 1])
-                w = eval_weights(params, times[n])
-                ef = w.exp_factor[0]
-                assert t3x3e.tobytes() == (w.theta**3 * w.xi**3 * ef).tobytes()
-                assert txe.tobytes() == (w.theta * w.xi * ef).tobytes()
-
-
 def test_sweep_makes_no_solve_to_t0(monkeypatch):
     mesh = build_interval_mesh(0, 1, 8)
     s = assemble(mesh, 1.0, 0.0, 1.0)
@@ -361,7 +359,7 @@ def _cell_major_oracle(s, grid, nt, samples, seed):
         for sid, v in enumerate(data):
             adj = solve_backward(s, v, p.T, nt, 0.5)
             lhs = carleman_lhs(s, adj, p)
-            rhs = carleman_rhs(s, adj, p, path="equation")
+            rhs = carleman_rhs(s, adj, p)
             ratio = lhs / rhs if rhs > 0.0 else float("nan")
             rows.append((p.lam, p.R, sid, lhs, rhs, ratio))
             cell_max = max(cell_max, ratio)
@@ -446,3 +444,34 @@ def test_sweep_rejects_repeated_cell():
     grid = [CarlemanParams(lam=1.0, R=2.0, m=m, T=1.0, eta=eta) for m in (1.5, 2.0)]
     with pytest.raises(ValueError, match="repeats"):
         carleman_sweep(s, grid, 16, 0.5, 2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        build_interval_mesh(0, 1, 16),
+        build_disk_mesh(1.0, 4, 16),
+        build_rect_mesh(1.0, 1.0, 6, 5),
+    ],
+    ids=["interval16", "disk4x16", "rect6x5"],
+)
+def test_trajectory_sides_equal_the_sweep_rows(mesh):
+    """carleman_lhs/carleman_rhs on one stored trajectory give the sweep's row."""
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=lam, R=R, m=1.5, T=1.0, eta=eta)
+        for lam in (0.5, 1.0)  # lambda = 2 underflows the disk and rect rhs to 0
+        for R in (1.0, 2.0)
+    ]
+    nt, samples, seed = 16, 3, 5
+    sw = carleman_sweep(s, grid, nt, 0.5, samples, seed)
+    data = _unit_normal_draws(s, np.random.default_rng(seed), samples)
+    adjs = [solve_backward(s, v, 1.0, nt, 0.5) for v in data]
+    cells = [p for p in grid for _ in range(samples)]
+    assert len(sw.rows) == len(cells)
+    for (lam, R, sid, lhs, rhs, _), p in zip(sw.rows, cells):
+        assert (lam, R) == (p.lam, p.R)
+        assert rhs > 0.0
+        assert carleman_lhs(s, adjs[sid], p) == pytest.approx(lhs, rel=1e-14, abs=0.0)
+        assert carleman_rhs(s, adjs[sid], p) == pytest.approx(rhs, rel=1e-14, abs=0.0)

@@ -533,8 +533,13 @@ def test_non_converged_rungs_are_flagged_in_the_summary(tmp_path):
     # the eps=1e-2 rung converges at iteration 5, the others need 7 and 9
     cfg = _ladder_config([1e-2, 1e-4, 1e-6], cg_maxit=6)
     out = tmp_path / "out"
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "[1, 2]" in manifest["error"]
+    # every rung's artifacts are written before the run fails
+    assert {f"result_{k}.json" for k in range(3)} <= set(manifest["artifacts"])
+    summary = manifest["summary"]
     assert sorted(k for k in summary if k.startswith("non_converged")) == [
         "non_converged_eps1", "non_converged_eps2"]
     assert all(summary[f"non_converged_eps{k}"] is True for k in (1, 2))
