@@ -208,6 +208,75 @@ def test_invalid_config_exit_2(tmp_path, capsys, field, edit):
     assert not out.exists()
 
 
+_RECT = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 4, "ny": 4}
+_DISK = {"kind": "disk", "rho": 1.0, "nr": 2, "ntheta": 8}
+_CARLEMAN = {"lambda_grid": [1.0], "R_grid": [1.0], "m": 1.5, "samples": 1, "seed": 0}
+_OBSERVABILITY = {"samples": 1, "seed": 0}
+
+
+def _geometry(geo, **fields):
+    return lambda c: c.update(geometry=dict(geo, **fields))
+
+
+def _beta_profile(**fields):
+    return lambda c: c.update(beta=dict(
+        {"kind": "profile", "name": "cosine_bump", "base": 1.0, "amplitude": 0.5},
+        **fields))
+
+
+def _task(task, params, **fields):
+    return lambda c: c.update(task=task, params=dict(params, **fields))
+
+
+# (id, edit of the base config, the whole stderr line after "error: ")
+_EXIT_2_MESSAGES = [
+    ("rect-lx", _geometry(_RECT, lx=0), "geometry.lx: must be > 0"),
+    ("rect-ly", _geometry(_RECT, ly=-1.0), "geometry.ly: must be > 0"),
+    ("rect-nx", _geometry(_RECT, nx=1), "geometry.nx: must be >= 2"),
+    ("rect-ny", _geometry(_RECT, ny=2.0), "geometry.ny: expected int, got float"),
+    ("rect-nx-missing", lambda c: c.update(geometry={
+        "kind": "rect", "lx": 1.0, "ly": 1.0, "ny": 4}), "geometry.nx: missing"),
+    ("disk-rho", _geometry(_DISK, rho=0.0), "geometry.rho: must be > 0"),
+    ("disk-nr", _geometry(_DISK, nr=1), "geometry.nr: must be >= 2"),
+    ("disk-ntheta", _geometry(_DISK, ntheta=7), "geometry.ntheta: must be >= 8"),
+    ("beta-base", _beta_profile(base=-1.0), "beta.base: must be >= 0"),
+    ("beta-amplitude", _beta_profile(amplitude=-0.5), "beta.amplitude: must be >= 0"),
+    ("beta0", lambda c: c.update(beta0=-1), "beta0: must be >= 0"),
+    ("carleman-samples", _task("carleman", _CARLEMAN, samples=0),
+     "params.samples: must be >= 1"),
+    ("carleman-seed", _task("carleman", _CARLEMAN, seed=-1), "params.seed: must be >= 0"),
+    ("observability-samples", _task("observability", _OBSERVABILITY, samples=0),
+     "params.samples: must be >= 1"),
+    ("observability-seed", _task("observability", _OBSERVABILITY, seed=-1),
+     "params.seed: must be >= 0"),
+    ("observability-seed-boolean", _task("observability", _OBSERVABILITY, seed=True),
+     "params.seed: expected integer"),
+    ("u0-seed", lambda c: c["params"].update(u0={"kind": "random", "seed": -1}),
+     "params.u0.seed: must be >= 0"),
+    ("empty-lambda_grid", _task("carleman", _CARLEMAN, lambda_grid=[]),
+     "params.lambda_grid: must be a list of finite positive numbers"),
+    ("empty-eps", _control(eps=[]),
+     "params.eps: must be a finite positive number or list of them"),
+    ("cg_tol", _control(cg_tol=1), "params.cg_tol: must be < 1"),
+    ("unknown-task", lambda c: c.update(task="explode"),
+     "task: must be one of ('simulate', 'adjoint', 'carleman', 'observability', "
+     "'control'), got 'explode'"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [case[1:] for case in _EXIT_2_MESSAGES],
+    ids=[case[0] for case in _EXIT_2_MESSAGES],
+)
+def test_exit_2_message_text(tmp_path, capsys, edit, message):
+    cfg = base_config()
+    edit(cfg)
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _strict_json(path):
     def reject(name):
         raise ValueError(f"non-finite JSON constant {name}")
