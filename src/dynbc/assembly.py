@@ -22,8 +22,9 @@ that order and number nodes so that the half-bandwidth kd is 1 on the
 interval, min(nx, ny) + 1 on the rectangle and ntheta + 1 on the disk.  The
 band holds 8 (kd + 1) ndof bytes, which grows as ndof^1.5 on 2-D meshes.  No
 order does much better on the disk: its centre node touches all ntheta nodes
-of the first ring, so kd >= ntheta / 2 in any order (a 64 MB band on disk
-nr = 2, ntheta = 2000).
+of the first ring, so kd >= ntheta / 2 in any order: disk nr = 2,
+ntheta = 2000 needs a 64 MB band, plus 96 MB of blocks once 32 or more
+columns are solved as one block (``BandCholesky``).
 """
 
 from __future__ import annotations

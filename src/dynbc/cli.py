@@ -37,24 +37,20 @@ need beta > 0 at every boundary node.  Every number in a config must be
 finite and not a boolean: JSON extensions such as NaN and Infinity are
 rejected.
 
-Memory: every solve runs on one band Cholesky factor of 8 (kd + 1) ndof
-bytes, with half-bandwidth kd = 1 on the interval, min(nx, ny) + 1 on the
-rectangle and ntheta + 1 on the disk (ndof = 1 + nr ntheta), whose centre
-node touches every node of the first ring.  So a disk with few rings and
-many angles is the costly shape: nr=2, ntheta=2000 needs a 64 MB band,
-plus 96 MB of blocks once 32 or more samples are solved as one block.
+Memory: the band factor every solve runs on is sized in ``dynbc.assembly``.
 
 Field specs: {"kind": "zero"} | {"kind": "constant", "value": c}
            | {"kind": "random", "seed": s} | {"kind": "eigenmode"};
 signal specs are the same without "eigenmode".
 
-Every run writes a manifest.json with the config, its hash, package and
-library versions, summary scalars, and the list of artifacts written (a
-failed run lists only the files it finished writing).  CSV artifacts
-carry the config hash in a comment header and are byte-identical across
-runs with the same config and seed on one numpy/scipy/BLAS build and BLAS
-thread count (blocks of 32 or more samples are solved by BLAS level-3
-products, which move by up to 3.7e-14 between 1 and 2 threads).  Exit
+Every run writes a manifest.json with the config, its hash, the package,
+numpy, scipy and BLAS versions, the BLAS thread variables (null when unset),
+summary scalars, and the list of artifacts written (a failed run lists only
+the files it finished writing).  CSV artifacts carry the config hash in a
+comment header and are byte-identical across runs with the same config and
+seed under the BLAS build and thread count the manifest names (blocks of 32
+or more samples are solved by BLAS level-3 products, which move by up to
+3.7e-14 between 1 and 2 threads).  Exit
 codes: 0 success, 1 numerical failure (manifest flags it; this includes a
 non-finite value that would have to be written to JSON and a control rung
 that stops at cg_maxit unconverged, after every rung's artifacts are
@@ -94,6 +90,10 @@ from .observability import estimate_CT
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "main"]
 
 _TASKS = ("simulate", "adjoint", "carleman", "observability", "control")
+_SIGNAL_KINDS = ("zero", "constant", "random")
+_FIELD_KINDS = _SIGNAL_KINDS + ("eigenmode",)
+# the wide-block solves' bytes depend on the BLAS thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -133,14 +133,15 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _need(data: dict, field: str, types, where: str = ""):
-    prefix = f"{where}." if where else ""
-    if field not in data:
-        raise ConfigError(f"{prefix}{field}: missing")
-    val = data[field]
-    if types is not None and not isinstance(val, types):
+def _need(data: dict, path: str, types):
+    """The value at dotted path's last key in data; errors name the whole path."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in data:
+        raise ConfigError(f"{path}: missing")
+    val = data[key]
+    if not isinstance(val, types):
         raise ConfigError(
-            f"{prefix}{field}: expected {getattr(types, '__name__', types)}, "
+            f"{path}: expected {getattr(types, '__name__', types)}, "
             f"got {type(val).__name__}"
         )
     return val
@@ -156,28 +157,45 @@ def _finite(val) -> bool:
         return False
 
 
-def _need_num(data: dict, field: str, where: str = "", positive=False, nonneg=False):
-    val = _need(data, field, (int, float), where)
+def _num(data: dict, path: str, above=None, least=None) -> float:
+    val = _need(data, path, (int, float))
     if not _finite(val):
-        raise ConfigError(
-            f"{where + '.' if where else ''}{field}: expected finite number"
-        )
-    if positive and not val > 0:
-        raise ConfigError(f"{where + '.' if where else ''}{field}: must be > 0")
-    if nonneg and val < 0:
-        raise ConfigError(f"{where + '.' if where else ''}{field}: must be >= 0")
+        raise ConfigError(f"{path}: expected finite number")
+    if above is not None and not val > above:
+        raise ConfigError(f"{path}: must be > {above}")
+    if least is not None and val < least:
+        raise ConfigError(f"{path}: must be >= {least}")
     return float(val)
 
 
-def _need_int(data: dict, field: str, where: str = "", minimum=None):
-    val = _need(data, field, int, where)
+def _int(data: dict, path: str, least=None) -> int:
+    val = _need(data, path, int)
     if isinstance(val, bool):
-        raise ConfigError(f"{where + '.' if where else ''}{field}: expected integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(
-            f"{where + '.' if where else ''}{field}: must be >= {minimum}"
+        raise ConfigError(f"{path}: expected integer")
+    if least is not None and val < least:
+        raise ConfigError(f"{path}: must be >= {least}")
+    return val
+
+
+def _geometry(geo: dict):
+    """Check a geometry section; return its mesh builder and arguments."""
+    kind = _need(geo, "geometry.kind", str)
+    if kind == "interval":
+        a, b = _num(geo, "geometry.a"), _num(geo, "geometry.b")
+        if not a < b:
+            raise ConfigError("geometry.b: must exceed geometry.a")
+        return build_interval_mesh, (a, b, _int(geo, "geometry.n", least=2))
+    if kind == "rect":
+        return build_rect_mesh, (
+            _num(geo, "geometry.lx", above=0), _num(geo, "geometry.ly", above=0),
+            _int(geo, "geometry.nx", least=2), _int(geo, "geometry.ny", least=2),
         )
-    return int(val)
+    if kind == "disk":
+        return build_disk_mesh, (
+            _num(geo, "geometry.rho", above=0),
+            _int(geo, "geometry.nr", least=2), _int(geo, "geometry.ntheta", least=8),
+        )
+    raise ConfigError(f"geometry.kind: must be interval, rect, or disk, got {kind!r}")
 
 
 def _validate(data: dict) -> None:
@@ -185,114 +203,77 @@ def _validate(data: dict) -> None:
     if task not in _TASKS:
         raise ConfigError(f"task: must be one of {_TASKS}, got {task!r}")
 
-    geo = _need(data, "geometry", dict)
-    kind = _need(geo, "kind", str, "geometry")
-    if kind == "interval":
-        a = _need_num(geo, "a", "geometry")
-        b = _need_num(geo, "b", "geometry")
-        if not a < b:
-            raise ConfigError("geometry.b: must exceed geometry.a")
-        _need_int(geo, "n", "geometry", minimum=2)
-    elif kind == "rect":
-        _need_num(geo, "lx", "geometry", positive=True)
-        _need_num(geo, "ly", "geometry", positive=True)
-        _need_int(geo, "nx", "geometry", minimum=2)
-        _need_int(geo, "ny", "geometry", minimum=2)
-    elif kind == "disk":
-        _need_num(geo, "rho", "geometry", positive=True)
-        _need_int(geo, "nr", "geometry", minimum=2)
-        _need_int(geo, "ntheta", "geometry", minimum=8)
-    else:
-        raise ConfigError(
-            f"geometry.kind: must be interval, rect, or disk, got {kind!r}"
-        )
-
-    _need_num(data, "gamma", positive=True)
-    _need_num(data, "delta", nonneg=True)
+    _geometry(_need(data, "geometry", dict))
+    _num(data, "gamma", above=0)
+    _num(data, "delta", least=0)
     beta = _need(data, "beta", dict)
-    bkind = _need(beta, "kind", str, "beta")
+    bkind = _need(beta, "beta.kind", str)
     if bkind == "constant":
-        _need_num(beta, "value", "beta", nonneg=True)
+        _num(beta, "beta.value", least=0)
     elif bkind == "profile":
-        name = _need(beta, "name", str, "beta")
+        name = _need(beta, "beta.name", str)
         if name != "cosine_bump":
             raise ConfigError(f"beta.name: unknown profile {name!r}")
-        _need_num(beta, "base", "beta", nonneg=True)
-        _need_num(beta, "amplitude", "beta", nonneg=True)
+        _num(beta, "beta.base", least=0)
+        _num(beta, "beta.amplitude", least=0)
     else:
         raise ConfigError(f"beta.kind: must be constant or profile, got {bkind!r}")
-    _need_num(data, "beta0", nonneg=True)
+    _num(data, "beta0", least=0)
 
-    _need_num(data, "T", positive=True)
-    nt = _need_int(data, "nt", minimum=1)
+    _num(data, "T", above=0)
+    nt = _int(data, "nt", least=1)
     if task in ("carleman", "control") and nt < 2:
         raise ConfigError(f"nt: must be >= 2 for task {task}")
-    theta = _need_num(data, "theta")
+    theta = _num(data, "theta")
     if theta not in (0.5, 1.0):
         raise ConfigError(f"theta: must be 0.5 or 1, got {theta}")
 
     params = _need(data, "params", dict)
     if task == "simulate":
-        _validate_field_spec(params, "u0", allow_eigenmode=True)
-        _validate_field_spec(params, "g", allow_eigenmode=False)
+        _field_spec(params, "u0", _FIELD_KINDS)
+        _field_spec(params, "g", _SIGNAL_KINDS)
     elif task == "adjoint":
-        _validate_field_spec(params, "phi_T", allow_eigenmode=True)
+        _field_spec(params, "phi_T", _FIELD_KINDS)
     elif task == "carleman":
         for grid in ("lambda_grid", "R_grid"):
-            vals = _need(params, grid, list, "params")
+            vals = _need(params, f"params.{grid}", list)
             if not vals or not all(_finite(v) and v > 0 for v in vals):
                 raise ConfigError(
                     f"params.{grid}: must be a list of finite positive numbers"
                 )
             if len(set(vals)) < len(vals):
                 raise ConfigError(f"params.{grid}: must not repeat a value")
-        m = _need_num(params, "m", "params")
-        if not m > 1:
+        if not _num(params, "params.m") > 1:
             raise ConfigError("params.m: must exceed 1")
-        _need_int(params, "samples", "params", minimum=1)
-        _need_int(params, "seed", "params", minimum=0)
-    elif task == "observability":
-        _need_int(params, "samples", "params", minimum=1)
-        _need_int(params, "seed", "params", minimum=0)
     elif task == "control":
-        _validate_field_spec(params, "u0", allow_eigenmode=True)
-        eps = _need(params, "eps", (int, float, list), "params")
+        _field_spec(params, "u0", _FIELD_KINDS)
+        eps = _need(params, "params.eps", (int, float, list))
         eps_list = eps if isinstance(eps, list) else [eps]
         if not eps_list or not all(_finite(e) and e > 0 for e in eps_list):
             raise ConfigError(
                 "params.eps: must be a finite positive number or list of them"
             )
-        if "cg_tol" in params:
-            tol = _need_num(params, "cg_tol", "params", positive=True)
-            if not tol < 1:
-                raise ConfigError("params.cg_tol: must be < 1")
+        if "cg_tol" in params and not _num(params, "params.cg_tol", above=0) < 1:
+            raise ConfigError("params.cg_tol: must be < 1")
         if "cg_maxit" in params:
-            _need_int(params, "cg_maxit", "params", minimum=1)
+            _int(params, "params.cg_maxit", least=1)
+    if task in ("carleman", "observability"):
+        _int(params, "params.samples", least=1)
+        _int(params, "params.seed", least=0)
 
     if "output_dir" in data and not isinstance(data["output_dir"], str):
         raise ConfigError("output_dir: expected string")
 
 
-def _validate_field_spec(params: dict, name: str, allow_eigenmode: bool) -> None:
-    spec = _need(params, name, dict, "params")
-    kind = _need(spec, "kind", str, f"params.{name}")
-    kinds = ("zero", "constant", "random") + (
-        ("eigenmode",) if allow_eigenmode else ()
-    )
+def _field_spec(params: dict, name: str, kinds: tuple) -> None:
+    spec = _need(params, f"params.{name}", dict)
+    kind = _need(spec, f"params.{name}.kind", str)
     if kind not in kinds:
         raise ConfigError(f"params.{name}.kind: must be one of {kinds}, got {kind!r}")
     if kind == "constant":
-        _need_num(spec, "value", f"params.{name}")
+        _num(spec, f"params.{name}.value")
     if kind == "random":
-        _need_int(spec, "seed", f"params.{name}", minimum=0)
-
-
-def _build_mesh(geo: dict):
-    if geo["kind"] == "interval":
-        return build_interval_mesh(geo["a"], geo["b"], geo["n"])
-    if geo["kind"] == "rect":
-        return build_rect_mesh(geo["lx"], geo["ly"], geo["nx"], geo["ny"])
-    return build_disk_mesh(geo["rho"], geo["nr"], geo["ntheta"])
+        _int(spec, f"params.{name}.seed", least=0)
 
 
 def _build_beta(mesh, beta: dict, beta0: float) -> np.ndarray:
@@ -314,28 +295,13 @@ def _build_beta(mesh, beta: dict, beta0: float) -> np.ndarray:
     return vals
 
 
-def _build_field(sys, spec: dict) -> np.ndarray:
-    kind = spec["kind"]
-    if kind == "zero":
-        return np.zeros(sys.ndof)
-    if kind == "constant":
-        return np.full(sys.ndof, float(spec["value"]))
-    if kind == "random":
-        return np.random.default_rng(int(spec["seed"])).standard_normal(sys.ndof)
-    _, vec = smallest_eigenpair(sys)
-    return vec
-
-
-def _build_signal(sys, spec: dict, nt: int) -> BoundarySignal | None:
-    kind = spec["kind"]
-    if kind == "zero":
-        return None
-    if kind == "constant":
-        return BoundarySignal(
-            np.full((nt + 1, sys.n_boundary), float(spec["value"]))
-        )
-    rng = np.random.default_rng(int(spec["seed"]))
-    return BoundarySignal(rng.standard_normal((nt + 1, sys.n_boundary)))
+def _values(sys_, spec: dict, shape) -> np.ndarray:
+    """The values of a field or signal spec, as an array of the given shape."""
+    if spec["kind"] == "eigenmode":
+        return smallest_eigenpair(sys_)[1]
+    if spec["kind"] == "random":
+        return np.random.default_rng(spec["seed"]).standard_normal(shape)
+    return np.full(shape, float(spec["value"] if spec["kind"] == "constant" else 0))
 
 
 def _write_csv(path, header: str, rows, config_hash: str) -> None:
@@ -343,13 +309,7 @@ def _write_csv(path, header: str, rows, config_hash: str) -> None:
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -372,6 +332,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
             "dynbc": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            **_blas_build(),
+            **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         },
         "artifacts": [],
         "summary": {},
@@ -379,7 +341,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     }
 
     try:
-        mesh = _build_mesh(data["geometry"])
+        build_mesh, args = _geometry(data["geometry"])
+        mesh = build_mesh(*args)
         beta = _build_beta(mesh, data["beta"], data["beta0"])
         task = data["task"]
         # the observability estimate and the lowest (K, M) eigenmode need K
@@ -403,7 +366,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
             "observability": _run_observability,
             "control": _run_control,
         }[task]
-        runner(sys_, mesh, config, out, manifest)
+        runner(sys_, config, out, manifest)
         _write_json(os.path.join(out, "manifest.json"), manifest)
         return 0
     except ConfigError:
@@ -418,6 +381,15 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         _make_out_dir(out, out_dir)
         _write_json(os.path.join(out, "manifest.json"), manifest)
         return 1
+
+
+def _blas_build() -> dict:
+    """The BLAS scipy's band solves run on, null where scipy does not report it."""
+    try:
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a scipy without show_config(mode="dicts")
+        blas = {}
+    return {"blas": blas.get("name"), "blas_version": blas.get("version")}
 
 
 def _make_out_dir(out: str, out_dir: str | None) -> None:
@@ -458,26 +430,29 @@ def _trajectory_artifacts(sys_, traj, config, out, manifest, prefix: str) -> Non
     manifest["summary"][f"{prefix}_final_norm"] = float(norms[-1])
 
 
-def _run_simulate(sys_, mesh, config, out, manifest) -> None:
+def _run_simulate(sys_, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
-    U0 = _build_field(sys_, p["u0"])
-    g = _build_signal(sys_, p["g"], data["nt"])
+    U0 = _values(sys_, p["u0"], sys_.ndof)
+    # a zero signal is no source term at all
+    g = None if p["g"]["kind"] == "zero" else BoundarySignal(
+        _values(sys_, p["g"], (data["nt"] + 1, sys_.n_boundary))
+    )
     traj = solve_forward(sys_, U0, g, data["T"], data["nt"], data["theta"])
     _trajectory_artifacts(sys_, traj, config, out, manifest, "simulate")
 
 
-def _run_adjoint(sys_, mesh, config, out, manifest) -> None:
+def _run_adjoint(sys_, config, out, manifest) -> None:
     data = config.raw
-    PhiT = _build_field(sys_, data["params"]["phi_T"])
+    PhiT = _values(sys_, data["params"]["phi_T"], sys_.ndof)
     traj = solve_backward(sys_, PhiT, data["T"], data["nt"], data["theta"])
     _trajectory_artifacts(sys_, traj, config, out, manifest, "adjoint")
 
 
-def _run_carleman(sys_, mesh, config, out, manifest) -> None:
+def _run_carleman(sys_, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
-    eta = build_eta(mesh)
+    eta = build_eta(sys_.mesh)
     grid = [
         CarlemanParams(lam=float(lam), R=float(R), m=float(p["m"]),
                        T=float(data["T"]), eta=eta)
@@ -487,10 +462,10 @@ def _run_carleman(sys_, mesh, config, out, manifest) -> None:
     result = carleman_sweep(
         sys_, grid, data["nt"], data["theta"], p["samples"], p["seed"]
     )
-    rows, max_ratio = result.rows, result.max_ratio
-
+    max_ratio = result.max_ratio
     with _artifact(manifest, out, "carleman_sweep.csv") as path:
-        _write_csv(path, "lambda,R,sample_id,lhs,rhs,ratio", rows, config.config_hash)
+        _write_csv(path, "lambda,R,sample_id,lhs,rhs,ratio", result.rows,
+                   config.config_hash)
     floor = pointwise_lambda_floor(eta)
     finite = floor[np.isfinite(floor)]
     with _artifact(manifest, out, "carleman_summary.json") as path:
@@ -509,7 +484,7 @@ def _run_carleman(sys_, mesh, config, out, manifest) -> None:
     manifest["summary"]["max_ratio_overall"] = float(max(max_ratio.values()))
 
 
-def _run_observability(sys_, mesh, config, out, manifest) -> None:
+def _run_observability(sys_, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
     report = estimate_CT(
@@ -535,10 +510,10 @@ def _run_observability(sys_, mesh, config, out, manifest) -> None:
     manifest["summary"]["CT_estimate"] = report.CT_estimate
 
 
-def _run_control(sys_, mesh, config, out, manifest) -> None:
+def _run_control(sys_, config, out, manifest) -> None:
     data = config.raw
     p = data["params"]
-    U0 = _build_field(sys_, p["u0"])
+    U0 = _values(sys_, p["u0"], sys_.ndof)
     eps_list = p["eps"] if isinstance(p["eps"], list) else [p["eps"]]
     solver = {key: p[key] for key in ("cg_tol", "cg_maxit") if key in p}
 
@@ -551,7 +526,6 @@ def _run_control(sys_, mesh, config, out, manifest) -> None:
     ]
     results = synthesize_ladder(problems)
 
-    scaling_rows = []
     for idx, (eps, problem, result) in enumerate(zip(eps_list, problems, results)):
         report = verify_null(problem, result)
         with _artifact(manifest, out, f"control_{idx}.csv") as path:
@@ -578,22 +552,16 @@ def _run_control(sys_, mesh, config, out, manifest) -> None:
                     "optimality_residual": report.optimality_residual,
                 },
             )
-        scaling_rows.append(
-            (eps, result.final_norm, result.control_norm,
-             result.iterations, result.cost)
-        )
         manifest["summary"][f"final_norm_eps{idx}"] = result.final_norm
         if not result.converged:
             manifest["summary"][f"non_converged_eps{idx}"] = True
 
     if len(eps_list) > 1:
+        rows = [(eps, r.final_norm, r.control_norm, r.iterations, r.cost)
+                for eps, r in zip(eps_list, results)]
         with _artifact(manifest, out, "eps_scaling.csv") as path:
-            _write_csv(
-                path,
-                "eps,final_norm,control_norm,iterations,cost",
-                scaling_rows,
-                config.config_hash,
-            )
+            _write_csv(path, "eps,final_norm,control_norm,iterations,cost", rows,
+                       config.config_hash)
     manifest["summary"]["U0_norm"] = norm_X2(sys_, U0)
     stalled = [idx for idx, result in enumerate(results) if not result.converged]
     if stalled:

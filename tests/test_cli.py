@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import dynbc
 from dynbc import cli
@@ -657,3 +658,38 @@ def test_constant_boundary_signal(tmp_path):
     assert (out / "simulate_trajectory.csv").read_bytes() == want
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["simulate_final_norm"] > 0.0
+
+
+def test_raised_solver_failure_exits_1_with_no_artifacts(tmp_path, monkeypatch):
+    # the eigenmode's inverse power iteration stops after one step
+    monkeypatch.setattr(dynbc.assembly, "_EIGEN_MAXIT", 1)
+    cfg = base_config(task="control", params={"u0": {"kind": "eigenmode"}, "eps": 1e-2})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    manifest = _strict_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("ConvergenceError")
+    assert manifest["artifacts"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("threads", [None, "3"])
+def test_manifest_names_the_blas_build_and_thread_settings(tmp_path, monkeypatch, threads):
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        if threads is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, threads)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, base_config()), "--out", str(out)]) == 0
+    versions = _strict_json(out / "manifest.json")["versions"]
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert versions == {
+        "dynbc": dynbc.__version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{var: threads for var in variables},
+    }
