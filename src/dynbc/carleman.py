@@ -24,9 +24,10 @@ are evaluated on discrete adjoint trajectories with mass-lumped space
 quadrature and trapezoidal time quadrature; the weighted integrands are
 taken to vanish at t in {0, T}, and the right side substitutes the boundary
 equation, so its integrand is theta xi exp(-2 R alpha) (beta phi_G)^2.
-One per-level reduction serves ``carleman_sweep``, which feeds it the
-levels of a block of samples as they are solved, and ``carleman_lhs`` and
-``carleman_rhs``, which feed it one stored trajectory.
+One per-level reduction, made for every (lambda, R) cell at once by matrix
+products, serves ``carleman_sweep``, which feeds it the levels of a block of
+samples as they are solved, and ``carleman_lhs`` and ``carleman_rhs``, which
+feed it one stored trajectory.
 
 Known gap: the sources observe on an interior set off which |grad eta| > 0.
 Here Gamma is observed, where eta = 0 and exp(-2 R alpha) is smallest, and
@@ -92,43 +93,44 @@ def _space_weights(params: CarlemanParams) -> tuple[np.ndarray, np.ndarray]:
     return xi, np.exp(2.0 * params.lam * params.m * s) - xi
 
 
-def _level_weights(params: CarlemanParams, xi, xi3, p, t) -> tuple[np.ndarray, np.ndarray]:
+def _level_weights(T, R, xi, xi3, p, t) -> tuple[np.ndarray, np.ndarray]:
     """theta^3 xi^3 exp(-2 R alpha) and theta xi exp(-2 R alpha) at one time.
 
-    t is a 1-element array; xi and p are ``_space_weights(params)`` and xi3
-    is xi**3, so only theta(t) and exp(-2 R alpha) are evaluated.
+    t is a 1-element array, T and R (cells, 1) columns, and xi, xi3 = xi**3
+    and p (cells, ndof) blocks: only theta(t) and exp(-2 R alpha) are evaluated.
     """
-    theta = 1.0 / (t * (params.T - t))
-    ef = np.exp(-2.0 * params.R * (theta * p))
-    return theta**3 * xi3 * ef, theta * xi * ef
+    theta = 1.0 / (t * (T - t))
+    ef = np.exp(-2.0 * R * (theta * p))
+    t3x3e = theta**3 * xi3 * ef
+    ef *= theta * xi  # theta xi exp(-2 R alpha), in place: one block fewer held
+    return t3x3e, ef
 
 
 def _level_sums(sys: DiscreteSystem, params_list, times, levels, samples: int) -> np.ndarray:
     """Per-(cell, sample) bulk, gradient, surface and rhs sums, shape (cells, 4, samples).
 
     levels yields (n, phi), phi the (ndof, samples) adjoint block at the
-    interior time times[n], and each level is reduced as it comes: phi^2,
-    the nodal |grad phi|^2 and the boundary rows once per block, each cell's
-    xi, xi^3 and p once, and only theta(t_n) and exp(-2 R alpha) per level.
-    The sums are not yet multiplied by dt.
+    interior time times[n], and each level is reduced for every cell as it
+    comes: the cells' xi, xi^3 and p are stacked once, and per level phi^2,
+    the nodal |grad phi|^2, one (cells, ndof) block of weights and four
+    products of mass-weighted weights with the level, (cells, ndof) by
+    (ndof, samples).  The sums are not yet multiplied by dt.
     """
     ops = _cell_gradient_ops(sys.mesh)
     bnodes, m_bulk, m_surf = sys.boundary_nodes, sys.m_bulk, sys.m_surf
-    space = [(xi, xi**3, p) for xi, p in map(_space_weights, params_list)]
+    xi, p = map(np.array, zip(*map(_space_weights, params_list)))
+    xi3 = xi**3
+    T, R = np.array([(params.T, params.R) for params in params_list]).T[..., None]
     sums = np.zeros((len(params_list), 4, samples))
-    for n, level in levels:
-        phi = level.T  # (samples, ndof)
+    for n, phi in levels:
         phi_sq = phi**2
         grad_sq = _nodal_grad_sq(sys, phi, ops)
-        phi_b_sq = phi[:, bnodes] ** 2
-        comb_sq = (sys.beta * phi[:, bnodes]) ** 2
-        for params, (xi, xi3, p), cell in zip(params_list, space, sums):
-            t3x3e, txe = _level_weights(params, xi, xi3, p, times[n : n + 1])
-            # each lumped mass is the vector of a matrix-vector reduction
-            cell[0] += (t3x3e * phi_sq) @ m_bulk
-            cell[1] += (txe * grad_sq) @ m_bulk
-            cell[2] += (t3x3e[bnodes] * phi_b_sq) @ m_surf
-            cell[3] += (txe[bnodes] * comb_sq) @ m_surf
+        comb_sq = (sys.beta[:, None] * phi[bnodes]) ** 2
+        t3x3e, txe = _level_weights(T, R, xi, xi3, p, times[n : n + 1])
+        sums[:, 0] += (t3x3e * m_bulk) @ phi_sq
+        sums[:, 1] += (txe * m_bulk) @ grad_sq
+        sums[:, 2] += (t3x3e[:, bnodes] * m_surf) @ phi_sq[bnodes]
+        sums[:, 3] += (txe[:, bnodes] * m_surf) @ comb_sq
     return sums
 
 
@@ -270,35 +272,33 @@ def pointwise_lambda_floor(eta: EtaField) -> np.ndarray:
 
 
 def _cell_gradient_ops(mesh: BulkSurfaceMesh):
-    """Sparse cell-gradient operators and the volume-weighted scatter to nodes."""
+    """Stacked sparse cell gradients and the volume-weighted scatter to nodes."""
     cells = mesh.bulk_cells
-    ncells = cells.shape[0]
-    n = mesh.n_nodes
-    nodes_per_cell = mesh.dim + 1
+    ncells, nodes_per_cell = cells.shape
     vol, G = _p1_cell_gradients(mesh)
     cell_ids = np.repeat(np.arange(ncells), nodes_per_cell)
     node_ids = cells.ravel()
     grads = [
-        sp.csr_matrix((G[:, :, d].ravel(), (cell_ids, node_ids)), shape=(ncells, n))
+        sp.csr_matrix((G[:, :, d].ravel(), (cell_ids, node_ids)), shape=(ncells, mesh.n_nodes))
         for d in range(mesh.dim)
     ]
     vals = np.repeat(vol / nodes_per_cell, nodes_per_cell)
-    scatter = sp.csr_matrix((vals, (node_ids, cell_ids)), shape=(n, ncells))
-    return grads, scatter
+    scatter = sp.csr_matrix((vals, (node_ids, cell_ids)), shape=(mesh.n_nodes, ncells))
+    # row d * ncells + c of the stacked operator is d/dx_d on cell c
+    return sp.vstack(grads, format="csr"), scatter
 
 
 def _nodal_grad_sq(sys: DiscreteSystem, states: np.ndarray, ops) -> np.ndarray:
     """Volume-weighted nodal recovery of |grad phi|^2 from cellwise gradients.
 
-    states has shape (n_states, n_nodes); the result matches it.  The sparse
-    products run on a contiguous (n_nodes, n_states) copy and keep the
-    (cells, states) layout; each entry is accumulated in the same order as
-    with one state per row, so the values are the same bits.  ops is
+    states has shape (n_nodes, n_states), one state per column; the result
+    matches it.  Each entry is accumulated in the same order as with one
+    state, and the squares add in dimension order (0 + a^2 + b^2), so the
+    values are the bits of a per-state loop.  ops is
     ``_cell_gradient_ops(sys.mesh)``.
     """
-    grads, scatter = ops
-    by_node = np.ascontiguousarray(states.T)
-    cell_sq = np.zeros((scatter.shape[1], by_node.shape[1]))
-    for G in grads:
-        cell_sq += (G @ by_node) ** 2
-    return (scatter @ cell_sq).T / sys.m_bulk[None, :]
+    grad, scatter = ops
+    comp_sq = grad @ states
+    comp_sq **= 2
+    cell_sq = comp_sq.reshape(-1, scatter.shape[1], states.shape[1]).sum(axis=0)
+    return (scatter @ cell_sq) / sys.m_bulk[:, None]

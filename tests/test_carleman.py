@@ -80,7 +80,7 @@ def test_theta_closed_form():
     assert weight_bounds(p, np.array([0.5]))["min_theta"] == pytest.approx(4.0)
     # the level weights' ratio theta^2 xi^2 at t = T/2
     xi, q = _space_weights(p)
-    t3x3e, txe = _level_weights(p, xi, xi**3, q, np.array([0.5]))
+    t3x3e, txe = _level_weights(p.T, p.R, xi, xi**3, q, np.array([0.5]))
     np.testing.assert_allclose(t3x3e / txe, 16.0 * xi**2, rtol=1e-14)
 
 
@@ -94,7 +94,7 @@ def test_xi_and_alpha_closed_forms():
     # alpha = theta p, with theta(T/2) = 4
     alpha = 4 * (math.exp(4) - math.exp(2))
     assert 4 * q[boundary] == pytest.approx(alpha)
-    _, txe = _level_weights(p, xi, xi**3, q, np.array([0.5]))
+    _, txe = _level_weights(p.T, p.R, xi, xi**3, q, np.array([0.5]))
     assert txe[boundary] == pytest.approx(4 * math.exp(2.0) * math.exp(-2 * alpha))
 
 
@@ -120,7 +120,7 @@ def test_weight_invariants_on_grid():
     assert np.all(xi <= xi_ceil + 1e-14)
     assert np.all(q > 0)  # so alpha = theta p > 0
     for t in times:
-        _, txe = _level_weights(p, xi, xi**3, q, np.array([t]))
+        _, txe = _level_weights(p.T, p.R, xi, xi**3, q, np.array([t]))
         exp_factor = txe / (xi / (t * (1.0 - t)))
         assert np.all((exp_factor > 0) | np.isclose(exp_factor, 0))
         assert np.all(exp_factor < 1)
@@ -280,15 +280,18 @@ def test_nodal_grad_sq_bitwise_equals_per_time_oracle(geometry):
     else:
         mesh = build_disk_mesh(1.0, 8, 32)
     s = assemble(mesh, 1.0, 0.0, 1.0)
-    states = np.random.default_rng(3).standard_normal((9, s.ndof))
-    grads, scatter = _cell_gradient_ops(mesh)
+    states = np.random.default_rng(3).standard_normal((s.ndof, 9))
+    grad, scatter = _cell_gradient_ops(mesh)
+    ncells = scatter.shape[1]
+    assert grad.shape == (mesh.dim * ncells, s.ndof)
+    # one state at a time, one d/dx_d block of the stacked operator at a time
     want = np.empty_like(states)
-    for n, phi in enumerate(states):
-        cell_sq = np.zeros(scatter.shape[1])
-        for G in grads:
-            cell_sq += (G @ phi) ** 2
-        want[n] = (scatter @ cell_sq) / s.m_bulk
-    got = _nodal_grad_sq(s, states, (grads, scatter))
+    for n, phi in enumerate(states.T):
+        cell_sq = np.zeros(ncells)
+        for d in range(mesh.dim):
+            cell_sq += (grad[d * ncells : (d + 1) * ncells] @ phi) ** 2
+        want[:, n] = (scatter @ cell_sq) / s.m_bulk
+    got = _nodal_grad_sq(s, states, (grad, scatter))
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
@@ -309,9 +312,10 @@ def test_sweep_evaluates_weights_once_per_level_and_cell(monkeypatch):
         space_calls.append(params)
         return _space_weights(params)
 
-    def counting_level(params, xi, xi3, p, t):
-        level_calls.append(np.shape(t))
-        return _level_weights(params, xi, xi3, p, t)
+    def counting_level(T, R, xi, xi3, p, t):
+        weights = _level_weights(T, R, xi, xi3, p, t)
+        level_calls.append((np.shape(t), R.ravel().tolist(), [w.shape for w in weights]))
+        return weights
 
     monkeypatch.setattr(carleman, "_space_weights", counting_space)
     monkeypatch.setattr(carleman, "_level_weights", counting_level)
@@ -320,9 +324,10 @@ def test_sweep_evaluates_weights_once_per_level_and_cell(monkeypatch):
         level_calls.clear()
         carleman_sweep(s, grid, nt, 0.5, samples, 4)
         # xi and p once per cell; theta and exp(-2 R alpha) once per
-        # (interior level, cell), each at a single time
+        # interior level, at a single time, as one block over every cell
         assert space_calls == grid
-        assert level_calls == [(1,)] * (len(grid) * (nt - 1))
+        block = (len(grid), s.ndof)
+        assert level_calls == [((1,), [p.R for p in grid], [block, block])] * (nt - 1)
 
 
 def test_sweep_makes_no_solve_to_t0(monkeypatch):
@@ -367,20 +372,24 @@ def _cell_major_oracle(s, grid, nt, samples, seed):
     return rows, max_ratio
 
 
-def _assert_sweep_close(sw, rows, max_ratio):
-    _assert_close_rows(sw.rows, rows)
+def _assert_sweep_close(sw, rows, max_ratio, rel=1e-13):
+    _assert_close_rows(sw.rows, rows, rel)
     assert list(sw.max_ratio) == list(max_ratio)
     _assert_close_rows(
         [(*key, 0, v) for key, v in sw.max_ratio.items()],
         [(*key, 0, v) for key, v in max_ratio.items()],
+        rel,
     )
 
 
 def _assert_close_rows(got, want, rel=1e-13):
     """Same keys in the same order, same exact zeros and nans, finite values close."""
     assert [r[:3] for r in got] == [r[:3] for r in want]
-    a = np.array([r[3:] for r in got])
-    b = np.array([r[3:] for r in want])
+    _assert_close_arrays(np.array([r[3:] for r in got]), np.array([r[3:] for r in want]), rel)
+
+
+def _assert_close_arrays(a, b, rel):
+    """Same exact zeros and nans, finite nonzero values within rel."""
     np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
     np.testing.assert_array_equal(np.isfinite(a), np.isfinite(b))
     np.testing.assert_array_equal(a == 0.0, b == 0.0)
@@ -422,6 +431,70 @@ def test_sweep_equals_cell_major_oracle_on_disk():
     assert any(math.isnan(r[5]) for r in rows)
     assert any(r[4] > 0.0 for r in rows)
     _assert_sweep_close(sw, rows, max_ratio)
+
+
+def _per_cell_level_sums(sys, params_list, times, levels, samples):
+    """The four sums by one cell after the other at each level.
+
+    Each cell's theta(t_n) and exp(-2 R alpha) are evaluated on their own,
+    and each sum is a matrix-vector reduction with a lumped mass.
+    """
+    ops = _cell_gradient_ops(sys.mesh)
+    bnodes, m_bulk, m_surf = sys.boundary_nodes, sys.m_bulk, sys.m_surf
+    space = [(xi, xi**3, p) for xi, p in map(_space_weights, params_list)]
+    sums = np.zeros((len(params_list), 4, samples))
+    for n, level in levels:
+        phi = level.T  # (samples, ndof)
+        phi_sq = phi**2
+        grad_sq = _nodal_grad_sq(sys, level, ops).T
+        phi_b_sq = phi[:, bnodes] ** 2
+        comb_sq = (sys.beta * phi[:, bnodes]) ** 2
+        t = times[n : n + 1]
+        for params, (xi, xi3, p), cell in zip(params_list, space, sums):
+            theta = 1.0 / (t * (params.T - t))
+            ef = np.exp(-2.0 * params.R * (theta * p))
+            t3x3e, txe = theta**3 * xi3 * ef, theta * xi * ef
+            cell[0] += (t3x3e * phi_sq) @ m_bulk
+            cell[1] += (txe * grad_sq) @ m_bulk
+            cell[2] += (t3x3e[bnodes] * phi_b_sq) @ m_surf
+            cell[3] += (txe[bnodes] * comb_sq) @ m_surf
+    return sums
+
+
+def test_sweep_equals_per_cell_reduction_oracle(monkeypatch):
+    """The batched reduction matches the per-cell one on the certify grid.
+
+    Disk 16x64, lambda in {1, 4, 16}, R in {1, 2, 4}, m = 2, 8 samples,
+    nt = 128: the sums and rows agree to 1e-14 relative where finite and
+    nonzero, with the same exact zeros and nans.  The products only reorder
+    each lumped-mass sum, so nothing looser is needed.
+    """
+    mesh = build_disk_mesh(1.0, 16, 64)
+    s = assemble(mesh, 1.0, 0.0, 1.0)
+    eta = build_eta(mesh)
+    grid = [
+        CarlemanParams(lam=lam, R=R, m=2.0, T=1.0, eta=eta)
+        for lam in (1.0, 4.0, 16.0)
+        for R in (1.0, 2.0, 4.0)
+    ]
+    sums = []
+
+    def recording(reduce):
+        def run(*args):
+            sums.append(reduce(*args))
+            return sums[-1]
+
+        return run
+
+    monkeypatch.setattr(carleman, "_level_sums", recording(carleman._level_sums))
+    got = carleman_sweep(s, grid, 128, 0.5, 8, 7)
+    monkeypatch.setattr(carleman, "_level_sums", recording(_per_cell_level_sums))
+    want = carleman_sweep(s, grid, 128, 0.5, 8, 7)
+    # the rhs of most cells underflows to exactly 0, so their ratios are nan
+    assert any(math.isnan(r[5]) for r in want.rows)
+    assert any(r[4] > 0.0 for r in want.rows)
+    _assert_sweep_close(got, want.rows, want.max_ratio, rel=1e-14)
+    _assert_close_arrays(*sums, rel=1e-14)
 
 
 def test_sweep_rejects_mixed_horizons():
