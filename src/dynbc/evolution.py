@@ -13,8 +13,8 @@ shares one factorization; ``solve_forward`` and ``solve_backward`` build a
 Propagator per call.  Every solve runs one stepping loop, ``Propagator._levels``.
 ``Propagator.backward_boundary`` steps many final data at once as the
 columns of one block, one multi-column solve per step, and keeps only the
-boundary rows of each level; the Gramian, the control synthesis and the
-observability estimate read the adjoint through it.
+boundary rows of each level; the Gramian and the control synthesis read
+the adjoint through it.
 
 Since M and K are symmetric, the one-step propagator
 S = (M + theta dt K)^{-1} (M - (1-theta) dt K) is self-adjoint in the M

@@ -9,9 +9,11 @@ It is estimated by sampling seeded random final data of unit M-norm
 (augmented with the lowest generalized eigenvector of (K, M), the natural
 extremal candidate) and taking the largest ratio.  All samples are stepped
 backward together as one block on one band Cholesky factor of the step
-matrix, keeping only Phi(0) and the boundary rows of each time level.  The
-per-step discrete energy identity and a discrete interpolation inequality
-for the surface operator are verified separately.
+matrix, and each time level is reduced to the samples' observed-energy
+integrands as it is solved, so the estimate holds the (ndof, samples)
+block in flight and (nt + 1) x samples integrands.  The per-step discrete
+energy identity and a discrete interpolation inequality for the surface
+operator are verified separately.
 """
 
 from __future__ import annotations
@@ -50,8 +52,17 @@ def observation_energy(sys: DiscreteSystem, adj: Trajectory) -> float:
 
 def _observed_energy(sys: DiscreteSystem, phi_g: np.ndarray, dt: float) -> float:
     """``observation_energy`` from the boundary values phi_g, shape (nt + 1, nb)."""
-    integrand = ((sys.beta[None, :] * phi_g) ** 2 * sys.m_surf[None, :]).sum(axis=1)
-    wt = np.full(phi_g.shape[0], dt)
+    return _trapezoid(_boundary_integrand(sys, phi_g), dt)
+
+
+def _boundary_integrand(sys: DiscreteSystem, phi_g: np.ndarray) -> np.ndarray:
+    """Sum over the boundary of (beta phi_g)^2 m_surf for each row of phi_g."""
+    return ((sys.beta[None, :] * phi_g) ** 2 * sys.m_surf[None, :]).sum(axis=1)
+
+
+def _trapezoid(integrand: np.ndarray, dt: float) -> float:
+    """Trapezoidal rule in time for samples at the nt + 1 time nodes."""
+    wt = np.full(integrand.shape[0], dt)
     wt[0] *= 0.5
     wt[-1] *= 0.5
     return float(wt @ integrand)
@@ -71,8 +82,10 @@ def estimate_CT(
     the backward solve from a unit-M-norm final datum; the first sample is
     the lowest (K, M) eigenvector, the rest are seeded standard normal
     draws.  The samples are stepped as one (ndof, samples) block on one
-    band Cholesky factor (``Propagator.backward_boundary``): nt multi-column
-    solves in all, holding (nt + 1) x n_boundary x samples boundary values.
+    band Cholesky factor: nt multi-column solves in all.  Each level is
+    reduced as it is solved to one integrand per sample, the same sums as
+    ``observation_energy``, so the estimate holds the (ndof, samples) block
+    in flight and (nt + 1) x samples integrands.
     Requires beta bounded below by a positive constant, otherwise the
     observation can vanish.  Raises RuntimeError when a sample's energy is
     not finite or its observation energy is not positive.
@@ -86,15 +99,23 @@ def estimate_CT(
         raise ValueError(f"need at least one sample, got {samples}")
     prop = Propagator(sys, T, nt, theta)
     _, ground = smallest_eigenpair(sys)
-    data = [ground] + _unit_normal_draws(
-        sys, np.random.default_rng(seed), samples - 1
-    )
-    phi0, bound = prop.backward_boundary(np.column_stack(data))
+    block = np.empty((sys.ndof, samples), order="F")
+    block[:, 0] = ground
+    rng = np.random.default_rng(seed)
+    for j, v in enumerate(_unit_normal_draws(sys, rng, samples - 1), 1):
+        block[:, j] = v
+    # level n of the backward march is Phi^(nt - n), so phi ends as Phi(0);
+    # one contiguous row per sample and one contiguous column per sample
+    # give the sums and the quadrature of observation_energy bit for bit
+    integrand = np.empty((nt + 1, samples), order="F")
+    for n, phi in enumerate(prop._levels(block)):
+        rows = phi.T.take(sys.boundary_nodes, axis=1)
+        integrand[nt - n] = _boundary_integrand(sys, rows)
 
     per_sample = []
     for j in range(samples):
-        initial = inner_X2(sys, phi0[:, j], phi0[:, j])
-        observed = _observed_energy(sys, bound[:, :, j], prop.dt)
+        initial = inner_X2(sys, phi[:, j], phi[:, j])
+        observed = _trapezoid(integrand[:, j], prop.dt)
         if not (np.isfinite(initial) and np.isfinite(observed)):
             raise RuntimeError(
                 f"sample {j}: initial energy {initial} or observation energy "

@@ -673,6 +673,55 @@ def test_raised_solver_failure_exits_1_with_no_artifacts(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def _overflowing_draws(monkeypatch):
+    # energies of this datum overflow to inf, as in
+    # test_nonfinite_sample_energy_raises
+    monkeypatch.setattr(
+        dynbc.observability,
+        "_unit_normal_draws",
+        lambda sys_, rng, count: [np.full(sys_.ndof, 1e200)] * count,
+    )
+
+
+# case: (config, patch, start of manifest["error"], manifest["artifacts"])
+_FORCED_FAILURES = {
+    "nonfinite_sample_energy": (
+        lambda: base_config(task="observability", T=1.0, nt=16,
+                            params={"samples": 3, "seed": 0}),
+        _overflowing_draws,
+        "RuntimeError: sample 1: initial energy inf or observation energy inf "
+        "is not finite",
+        [],
+    ),
+    "control_cg_maxit_1": (
+        lambda: _ladder_config(1e-2, cg_maxit=1),
+        lambda monkeypatch: None,
+        "RuntimeError: control rungs [0] stopped at cg_maxit without meeting cg_tol",
+        ["control_0.csv", "result_0.json"],
+    ),
+    "eigensolver_maxit_1": (
+        lambda: base_config(task="control", params={"u0": {"kind": "eigenmode"}, "eps": 1e-2}),
+        lambda monkeypatch: monkeypatch.setattr(dynbc.assembly, "_EIGEN_MAXIT", 1),
+        "ConvergenceError: inverse power iteration did not converge in 1 iterations",
+        [],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_FORCED_FAILURES))
+def test_forced_numerical_failure_exits_1(tmp_path, monkeypatch, case):
+    make_config, patch, error, artifacts = _FORCED_FAILURES[case]
+    patch(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, make_config()), "--out", str(out)]) == 1
+    manifest = _strict_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith(error)
+    assert manifest["artifacts"] == artifacts
+    assert sorted(p.name for p in out.iterdir()) == sorted(artifacts + ["manifest.json"])
+
+
 @pytest.mark.parametrize("threads", [None, "3"])
 def test_manifest_names_the_blas_build_and_thread_settings(tmp_path, monkeypatch, threads):
     variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dynbc import (
     assemble,
     build_disk_mesh,
     build_interval_mesh,
+    build_rect_mesh,
     check_energy_identity,
     check_interpolation,
     estimate_CT,
@@ -84,6 +87,24 @@ def _loop_estimate_CT(sys_, T, nt, samples, seed, theta):
     return per_sample
 
 
+def _cube_estimate_CT(sys_, T, nt, samples, seed, theta):
+    """The reduction estimate_CT made before it reduced each level as it came:
+    the boundary rows of every level of every sample from one block
+    backward_boundary, then one _observed_energy per sample."""
+    prop = Propagator(sys_, T, nt, theta)
+    _, ground = smallest_eigenpair(sys_)
+    data = [ground] + _unit_normal_draws(
+        sys_, np.random.default_rng(seed), samples - 1
+    )
+    phi0, bound = prop.backward_boundary(np.column_stack(data))
+    per_sample = []
+    for j in range(samples):
+        initial = inner_X2(sys_, phi0[:, j], phi0[:, j])
+        observed = observability._observed_energy(sys_, bound[:, :, j], prop.dt)
+        per_sample.append((initial, observed, initial / observed))
+    return per_sample
+
+
 class _CountingFactor(BandCholesky):
     """A band Cholesky factorization that counts its solve calls."""
 
@@ -97,16 +118,19 @@ class _CountingFactor(BandCholesky):
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-@pytest.mark.parametrize("mesh", ["interval", "disk"])
+@pytest.mark.parametrize("mesh", ["interval", "disk", "rect"])
 def test_estimate_matches_per_sample_loop(mesh, theta, monkeypatch):
     # 9 samples are stepped by dpbtrs; on the disk 40 more are stepped by
     # the blocked level-3 solve
     if mesh == "interval":
         s, sample_counts = interval_sys(n=16), (9,)
+    elif mesh == "rect":
+        s, sample_counts = assemble(build_rect_mesh(1.0, 0.5, 6, 4), 1.0, 0.25, 1.0), (9,)
     else:
         s, sample_counts = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0), (9, 40)
     T, nt = 0.8, 24
     wants = [_loop_estimate_CT(s, T, nt, samples, 11, theta) for samples in sample_counts]
+    cubes = [_cube_estimate_CT(s, T, nt, samples, 11, theta) for samples in sample_counts]
     made = []
 
     def counting_factor(A):
@@ -114,16 +138,33 @@ def test_estimate_matches_per_sample_loop(mesh, theta, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(evolution, "BandCholesky", counting_factor)
-    for samples, want in zip(sample_counts, wants):
+    for samples, want, cube in zip(sample_counts, wants, cubes):
         made.clear()
         rep = estimate_CT(s, T, nt, samples, seed=11, theta=theta)
         assert len(made) == 1
         assert made[0].solves == nt
-        assert len(rep.per_sample) == samples
+        # bit for bit the boundary rows of every level reduced per sample
+        assert rep.per_sample == cube
+        assert rep.CT_estimate == max(r for _, _, r in cube)
         for got_row, want_row in zip(rep.per_sample, want):
             for got, ref in zip(got_row, want_row):
                 assert abs(got - ref) <= 1e-13 * abs(ref)
         assert abs(rep.CT_estimate - max(r for _, _, r in want)) <= 1e-13 * rep.CT_estimate
+
+
+def test_estimate_memory_does_not_grow_with_nt():
+    # at nt=256 the boundary rows of every level of 40 samples would take
+    # 2.6 MB; one integrand per level and sample takes 82 kB
+    s = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0)
+    peaks = []
+    for nt in (32, 256):
+        tracemalloc.start()
+        try:
+            estimate_CT(s, 0.8, nt, 40, seed=11)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5e6
 
 
 def test_nonfinite_sample_energy_raises(monkeypatch):
