@@ -147,7 +147,10 @@ class BandCholesky:
             m, hi = min(kb, n - lo), min(lo + 2 * kb, n)
             Dinv = lapack.dtrtri(dense(lo, lo, m, m))[0]
             # dlauum forms the upper triangle of Dinv Dinv^T; a plain matmul
-            # moved estimate_CT's decayed energies 5x further from dpbtrs's
+            # moved estimate_CT's decayed energies 5x further from dpbtrs's.
+            # It splits its sums by thread count, the one step of a wide solve
+            # that does at kb = 65 or 129 (dtrtri does from 200 rows); dsyrk
+            # does not, but moved those energies from 4.65e-14 to 1.29e-13
             S = lapack.dlauum(Dinv)[0]
             W = np.empty((m, hi - lo))
             W[:, :m] = S + np.triu(S, 1).T
@@ -270,22 +273,18 @@ def norm_X2(sys: DiscreteSystem, U: np.ndarray) -> float:
     return float(np.sqrt(max(inner_X2(sys, U, U), 0.0)))
 
 
-def _unit_normal_draws(
-    sys: DiscreteSystem, rng: np.random.Generator, count: int
-) -> list[np.ndarray]:
-    """count standard normal states from rng, each scaled to unit M-norm.
+def _unit_normal_draws(sys: DiscreteSystem, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill each column of out, (ndof, k), with a standard normal state from
+    rng scaled to unit M-norm, in column order.
 
     A draw of M-norm zero is rejected and drawn again.
     """
-    draws = []
-    for _ in range(count):
-        v = rng.standard_normal(sys.ndof)
-        nv = norm_X2(sys, v)
+    for col in out.T:
+        nv = 0.0
         while nv == 0.0:
             v = rng.standard_normal(sys.ndof)
             nv = norm_X2(sys, v)
-        draws.append(v / nv)
-    return draws
+        np.divide(v, nv, out=col)
 
 
 def smallest_eigenpair(sys: DiscreteSystem) -> tuple[float, np.ndarray]:

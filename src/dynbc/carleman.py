@@ -37,6 +37,7 @@ an empirical constant, not certified.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,14 +201,15 @@ def carleman_sweep(
         raise ValueError(f"need at least one sample, got {samples}")
     if nt < 2:
         raise ValueError(f"need nt >= 2 for interior time nodes, got {nt}")
-    data = _unit_normal_draws(sys, np.random.default_rng(seed), samples)
-
+    block = np.empty((sys.ndof, samples), order="F")
+    _unit_normal_draws(sys, np.random.default_rng(seed), block)
     prop = Propagator(sys, params_list[0].T, nt, theta)
-    levels = prop._levels(np.column_stack(data))
-    next(levels)  # Phi_T itself, at t_N = T where the weights vanish
-    # zip asks the range first, so the solve to t_0 is never made
+    # t_{N-1} down to t_1: the weights vanish at t_N = T and t_0, and islice
+    # never asks for the solve to t_0
+    levels = itertools.islice(prop._backward_levels(block), 1, nt)
+    del block  # the march holds it until its first step
     times = np.linspace(0.0, prop.T, nt + 1)
-    sums = _level_sums(sys, params_list, times, zip(range(nt - 1, 0, -1), levels), samples)
+    sums = _level_sums(sys, params_list, times, levels, samples)
 
     rows = []
     max_ratio: dict[tuple[float, float], float] = {}

@@ -48,9 +48,9 @@ numpy, scipy and BLAS versions, the BLAS thread variables (null when unset),
 summary scalars, and the list of artifacts written (a failed run lists only
 the files it finished writing).  CSV artifacts carry the config hash in a
 comment header and are byte-identical across runs with the same config and
-seed under the BLAS build and thread count the manifest names (blocks of 32
-or more samples are solved by BLAS level-3 products, which move by up to
-3.7e-14 between 1 and 2 threads).  Exit
+seed under the BLAS build and thread count the manifest names (LAPACK's
+dlauum, which forms the band blocks that solve 32 or more samples, splits its
+sums by thread count: they move by up to 3.7e-14 between 1 and 2 threads).  Exit
 codes: 0 success, 1 numerical failure (manifest flags it; this includes a
 non-finite value that would have to be written to JSON and a control rung
 that stops at cg_maxit unconverged, after every rung's artifacts are
@@ -92,7 +92,7 @@ __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "main"]
 _TASKS = ("simulate", "adjoint", "carleman", "observability", "control")
 _SIGNAL_KINDS = ("zero", "constant", "random")
 _FIELD_KINDS = _SIGNAL_KINDS + ("eigenmode",)
-# the wide-block solves' bytes depend on the BLAS thread count
+# the wide-block solves' bytes depend on the BLAS thread count through dlauum
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -171,12 +171,12 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
     projection of A v_k on v_k, beta_{k+1} the M-norm of what is left.
 
     Per shift, y_s = (T_k + s I)^{-1} e_1 ||b||_M is updated through the
-    pivots of T_k + s I = L D L^T, and the shift freezes at the first k with
+    pivots of T_k + s I = L D L^T, and the shift stops at the first k with
     beta_{k+1} |e_k^T y_s| <= tol ||b||_M: in exact arithmetic that is the
     residual of the k-th CG iterate, so this is plain CG's stopping rule and
-    iterate.  x_s = V_k y_s is formed once, when the shift freezes.  The
-    basis does not depend on the shifts, so every shift's result is bit for
-    bit the solve of that shift alone.
+    iterate.  Each shift records where it stopped, and x_s = V_k y_s is
+    formed once, after the loop.  The basis does not depend on the shifts,
+    so every shift's result is bit for bit the solve of that shift alone.
 
     Returns one (x, iterations, converged) per entry of shifts, in order,
     each with its own x.  A shift stops unconverged at its last good
@@ -196,14 +196,7 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
     betas = []
     pivots = [[] for _ in shifts]
     rhs = [[] for _ in shifts]
-    solved = [None] * len(shifts)
-    active = list(range(len(shifts)))
-
-    def freeze(i, iterations, converged):
-        x = _ritz_iterate(V, betas, pivots[i][:iterations], rhs[i])
-        solved[i] = (x, iterations, converged)
-        active.remove(i)
-
+    stop = [None] * len(shifts)  # (iterations, converged) once a shift stops
     for k in range(1, limit + 1):
         Vk = V[:k]
         w = apply_op(Vk[-1])
@@ -214,11 +207,11 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
             alpha += float(h[-1])
         beta = norm_X2(sys, w)
         if not (np.isfinite(alpha) and np.isfinite(beta)):
-            for i in list(active):
-                freeze(i, k - 1, False)
+            stop = [done or (k - 1, False) for done in stop]
             break
-        for i in list(active):
-            d, z = pivots[i], rhs[i]
+        for i, (d, z) in enumerate(zip(pivots, rhs)):
+            if stop[i]:
+                continue
             if k == 1:
                 d.append(alpha + shifts[i])
                 z.append(bnorm)
@@ -227,14 +220,13 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
                 d.append(alpha + shifts[i] - lower * betas[-1])
                 z.append(-lower * z[-1])
             if not (np.isfinite(d[-1]) and d[-1] > 0.0):
-                freeze(i, k - 1, False)
+                stop[i] = (k - 1, False)
             elif beta * abs(z[-1] / d[-1]) <= tol * bnorm:
-                freeze(i, k, True)
-        if not active:
+                stop[i] = (k, True)
+        if all(stop):
             break
         if k == limit or beta == 0.0:
-            for i in list(active):
-                freeze(i, k, False)
+            stop = [done or (k, False) for done in stop]
             break
         betas.append(beta)
         if k == len(V):
@@ -242,7 +234,10 @@ def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
             grown[:k] = V
             V = grown
         V[k] = w / beta
-    return solved
+    return [
+        (_ritz_iterate(V, betas, d[:iterations], z), iterations, converged)
+        for (iterations, converged), d, z in zip(stop, pivots, rhs)
+    ]
 
 
 def _solve_ladder(problems):

@@ -10,16 +10,17 @@ A = M + theta dt K, and a step is one solve with the band Cholesky factor
 of A (``assembly.BandCholesky``) and no sparse product.  A ``Propagator``
 holds that factor for one uniform time grid, so every solve on the grid
 shares one factorization; ``solve_forward`` and ``solve_backward`` build a
-Propagator per call.  Every solve runs one stepping loop, ``Propagator._levels``.
-``Propagator.backward_boundary`` steps many final data at once as the
-columns of one block, one multi-column solve per step, and keeps only the
-boundary rows of each level; the Gramian and the control synthesis read
-the adjoint through it.
+Propagator per call.  Every solve runs one stepping loop, ``Propagator._levels``,
+and only ``_backward_levels`` reads its levels as adjoint times; ``_march``
+keeps their rows by time index.  ``Propagator.backward_boundary`` steps many
+final data at once as the columns of one block, one multi-column solve per
+step, and keeps only the boundary rows of each level; the Gramian and the
+control synthesis read the adjoint through it.
 
 Since M and K are symmetric, the one-step propagator
 S = (M + theta dt K)^{-1} (M - (1-theta) dt K) is self-adjoint in the M
-inner product, so the backward solve is the unforced march run on the
-reversed time index (the kept levels reversed) and is the exact transpose
+inner product, so the backward solve is the unforced march read on the
+reversed time index (level j is Phi^(nt - j)) and is the exact transpose
 of the forward step.  The resulting discrete duality identity
 
     <U^N, Phi^N>_M - <U^0, Phi^0>_M = sum_n dt g_hat^n . B^T Psi^n,
@@ -169,10 +170,11 @@ class Propagator:
         X^{n+1} = A^{-1} (M X^n / theta + dt B g_hat^n) - ((1 - theta) / theta) X^n,
         with dt B g_hat^n added to the boundary rows as dt (m_surf g_hat^n).
         A level is solved only when it is asked for, so a caller that stops
-        early makes none of the remaining solves.  Each level is a new
-        array; a block stays in the Fortran order the band solve reads.
+        early makes none of the remaining solves, and X is not held past the
+        first.  Each level is a new array; a block stays in Fortran order.
         """
         cur = np.asfortranarray(X)
+        del X
         yield cur
         mass = np.expand_dims(self.sys.M_diag / self.theta, tuple(range(1, cur.ndim)))
         source = None if ghat is None else self.dt * (self.sys.m_surf * ghat)
@@ -184,28 +186,33 @@ class Propagator:
             nxt -= np.multiply((1.0 - self.theta) / self.theta, cur, out=rhs)
             yield (cur := nxt)
 
-    def _march(self, X: np.ndarray, ghat, rows) -> tuple[np.ndarray, np.ndarray]:
-        """(last, kept): X after nt steps, and kept[n] = rows of level n.
+    def _backward_levels(self, PhiT: np.ndarray):
+        """Yield (n, Phi^n) for n = nt down to 0: level nt - n of ``_levels(PhiT)``."""
+        return zip(range(self.nt, -1, -1), self._levels(PhiT))
 
-        The levels are those of ``_levels(X, ghat)``.  rows is slice(None)
-        for a trajectory, the boundary nodes for a trace, slice(0) for
-        nothing; kept is in stepping order.
+    def _march(self, levels, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(last, kept): the last of the (n, level) pairs levels yields for each
+        n = 0 .. nt, and kept[n] = rows of level n.  rows is slice(None) for a
+        trajectory, the boundary nodes for a trace, slice(0) for nothing.
         """
-        kept = np.empty((self.nt + 1,) + X[rows].shape)
-        for n, cur in enumerate(self._levels(X, ghat)):
+        kept = None
+        for n, cur in levels:
+            if kept is None:
+                kept = np.empty((self.nt + 1,) + cur[rows].shape)
             kept[n] = cur[rows]
         return cur, kept
 
     def forward(self, U0: np.ndarray, g) -> Trajectory:
         """Integrate the controlled system from U0 over [0, T]."""
         ghat = _step_sources(self.sys, g, self.nt, self.theta)
-        _, states = self._march(self._state(U0, "U0"), ghat, slice(None))
-        return self._trajectory(states)
+        levels = enumerate(self._levels(self._state(U0, "U0"), ghat))
+        return self._trajectory(self._march(levels, slice(None))[1])
 
     def forward_final(self, U0: np.ndarray, g) -> np.ndarray:
         """The state at T of ``forward(U0, g)``, storing no trajectory."""
         ghat = _step_sources(self.sys, g, self.nt, self.theta)
-        return self._march(self._state(U0, "U0"), ghat, slice(0))[0]
+        levels = enumerate(self._levels(self._state(U0, "U0"), ghat))
+        return self._march(levels, slice(0))[0]
 
     def backward(self, PhiT: np.ndarray) -> Trajectory:
         """Integrate the adjoint system backward from final data PhiT.
@@ -214,8 +221,8 @@ class Propagator:
         adjoint state at t_n, states[-1] = PhiT.  The step is the transpose
         of the forward step, so the duality identity holds exactly.
         """
-        _, levels = self._march(self._state(PhiT, "PhiT"), None, slice(None))
-        return self._trajectory(np.ascontiguousarray(levels[::-1]))
+        levels = self._backward_levels(self._state(PhiT, "PhiT"))
+        return self._trajectory(self._march(levels, slice(None))[1])
 
     def backward_boundary(self, PhiT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Phi(0) and the boundary rows of every level of ``backward(PhiT)``.
@@ -232,8 +239,7 @@ class Propagator:
             raise ValueError(
                 f"PhiT must have shape ({ndof},) or ({ndof}, k), got {PhiT.shape}"
             )
-        phi0, bound = self._march(PhiT, None, self.sys.boundary_nodes)
-        return phi0, bound[::-1]
+        return self._march(self._backward_levels(PhiT), self.sys.boundary_nodes)
 
 
 def solve_forward(

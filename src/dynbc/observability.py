@@ -98,19 +98,16 @@ def estimate_CT(
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     prop = Propagator(sys, T, nt, theta)
-    _, ground = smallest_eigenpair(sys)
     block = np.empty((sys.ndof, samples), order="F")
-    block[:, 0] = ground
-    rng = np.random.default_rng(seed)
-    for j, v in enumerate(_unit_normal_draws(sys, rng, samples - 1), 1):
-        block[:, j] = v
-    # level n of the backward march is Phi^(nt - n), so phi ends as Phi(0);
-    # one contiguous row per sample and one contiguous column per sample
-    # give the sums and the quadrature of observation_energy bit for bit
+    block[:, 0] = smallest_eigenpair(sys)[1]
+    _unit_normal_draws(sys, np.random.default_rng(seed), block[:, 1:])
+    levels = prop._backward_levels(block)
+    del block  # the march holds it until its first step
+    # phi ends as Phi(0); a contiguous row and column per sample give the
+    # sums and the quadrature of observation_energy bit for bit
     integrand = np.empty((nt + 1, samples), order="F")
-    for n, phi in enumerate(prop._levels(block)):
-        rows = phi.T.take(sys.boundary_nodes, axis=1)
-        integrand[nt - n] = _boundary_integrand(sys, rows)
+    for n, phi in levels:
+        integrand[n] = _boundary_integrand(sys, phi.T.take(sys.boundary_nodes, axis=1))
 
     per_sample = []
     for j in range(samples):

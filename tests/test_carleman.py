@@ -539,8 +539,9 @@ def test_trajectory_sides_equal_the_sweep_rows(mesh):
     ]
     nt, samples, seed = 16, 3, 5
     sw = carleman_sweep(s, grid, nt, 0.5, samples, seed)
-    data = _unit_normal_draws(s, np.random.default_rng(seed), samples)
-    adjs = [solve_backward(s, v, 1.0, nt, 0.5) for v in data]
+    data = np.empty((s.ndof, samples))
+    _unit_normal_draws(s, np.random.default_rng(seed), data)
+    adjs = [solve_backward(s, v, 1.0, nt, 0.5) for v in data.T]
     cells = [p for p in grid for _ in range(samples)]
     assert len(sw.rows) == len(cells)
     for (lam, R, sid, lhs, rhs, _), p in zip(sw.rows, cells):

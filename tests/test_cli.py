@@ -679,7 +679,7 @@ def _overflowing_draws(monkeypatch):
     monkeypatch.setattr(
         dynbc.observability,
         "_unit_normal_draws",
-        lambda sys_, rng, count: [np.full(sys_.ndof, 1e200)] * count,
+        lambda sys_, rng, out: out.fill(1e200),
     )
 
 

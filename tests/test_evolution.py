@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -621,7 +622,7 @@ def test_levels_yield_what_march_keeps(name, theta):
     ghat = evolution._step_sources(s, g, nt, theta)
     for X, source in ((U0, ghat), (U0, None), (rng.standard_normal((s.ndof, k)), None)):
         levels = list(prop._levels(X, source))
-        last, kept = prop._march(X, source, slice(None))
+        last, kept = prop._march(enumerate(prop._levels(X, source)), slice(None))
         assert len(levels) == nt + 1
         assert np.array(levels).tobytes() == kept.tobytes()
         assert last.tobytes() == levels[-1].tobytes()
@@ -660,12 +661,57 @@ def test_block_levels_are_new_fortran_arrays(name, theta):
 
 def test_levels_solve_only_what_is_asked_for():
     s = PROPAGATOR_SYSTEMS["interval8"]()
-    prop = Propagator(s, 0.7, 12, 0.5)
+    nt = 12
+    prop = Propagator(s, 0.7, nt, 0.5)
+    PhiT = np.random.default_rng(21).standard_normal(s.ndof)
+    want = prop.backward(PhiT).states
     prop.factor = counter = _CountingSolves(prop.factor)
     levels = prop._levels(np.ones(s.ndof))
     for solves in range(4):
         next(levels)
         assert counter.solves == solves
+    # the backward levels come as (n, Phi^n), n = nt down to 0, each the
+    # bits backward stores at t_n
+    counter.solves = 0
+    got = list(prop._backward_levels(PhiT))
+    assert [n for n, _ in got] == list(range(nt, -1, -1))
+    assert all(level.tobytes() == want[n].tobytes() for n, level in got)
+    assert counter.solves == nt
+    counter.solves = 0
+    levels = prop._backward_levels(PhiT)
+    for solves in range(4):
+        next(levels)
+        assert counter.solves == solves
+
+
+def test_levels_drop_their_argument_after_the_first_step():
+    # a caller that drops its final data frees it once level 1 is solved:
+    # the march holds only the level in flight
+    s = PROPAGATOR_SYSTEMS["disk8x32"]()
+    prop = Propagator(s, 0.7, 12, 0.5)
+    block = np.asfortranarray(np.random.default_rng(22).standard_normal((s.ndof, 5)))
+    alive = weakref.ref(block)
+    levels = prop._levels(block)
+    del block
+    next(levels)
+    next(levels)
+    assert alive() is None
+
+
+def test_backward_stores_the_adjoint_once():
+    # states is written at its time index as each level is solved, so the
+    # peak is the trajectory and a few levels, with no reversed copy
+    s = assemble(build_rect_mesh(1.0, 1.0, 32, 32), 1.0, 0.0, 1.0)
+    prop = Propagator(s, 1.0, 64, 0.5)
+    PhiT = np.random.default_rng(23).standard_normal(s.ndof)
+    prop.backward(PhiT)  # warm: nothing made once per process is counted
+    tracemalloc.start()
+    try:
+        states = prop.backward(PhiT).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * states.nbytes
 
 
 class _CountingSolves:

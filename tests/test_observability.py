@@ -71,15 +71,19 @@ def test_shorter_horizon_observes_less():
     assert short.CT_estimate >= long.CT_estimate
 
 
+def _sample_block(sys_, samples, seed):
+    """estimate_CT's final data: the lowest (K, M) eigenvector, then draws."""
+    block = np.empty((sys_.ndof, samples), order="F")
+    block[:, 0] = smallest_eigenpair(sys_)[1]
+    _unit_normal_draws(sys_, np.random.default_rng(seed), block[:, 1:])
+    return block
+
+
 def _loop_estimate_CT(sys_, T, nt, samples, seed, theta):
     """The per-sample backward loop that the block solve in estimate_CT replaced."""
     prop = Propagator(sys_, T, nt, theta)
-    _, ground = smallest_eigenpair(sys_)
-    data = [ground] + _unit_normal_draws(
-        sys_, np.random.default_rng(seed), samples - 1
-    )
     per_sample = []
-    for v in data:
+    for v in _sample_block(sys_, samples, seed).T:
         adj = prop.backward(v)
         initial = inner_X2(sys_, adj.states[0], adj.states[0])
         observed = observation_energy(sys_, adj)
@@ -92,11 +96,7 @@ def _cube_estimate_CT(sys_, T, nt, samples, seed, theta):
     the boundary rows of every level of every sample from one block
     backward_boundary, then one _observed_energy per sample."""
     prop = Propagator(sys_, T, nt, theta)
-    _, ground = smallest_eigenpair(sys_)
-    data = [ground] + _unit_normal_draws(
-        sys_, np.random.default_rng(seed), samples - 1
-    )
-    phi0, bound = prop.backward_boundary(np.column_stack(data))
+    phi0, bound = prop.backward_boundary(_sample_block(sys_, samples, seed))
     per_sample = []
     for j in range(samples):
         initial = inner_X2(sys_, phi0[:, j], phi0[:, j])
@@ -174,7 +174,7 @@ def test_nonfinite_sample_energy_raises(monkeypatch):
     monkeypatch.setattr(
         observability,
         "_unit_normal_draws",
-        lambda sys_, rng, count: [np.full(sys_.ndof, 1e200)] * count,
+        lambda sys_, rng, out: out.fill(1e200),
     )
     with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="not finite"):
         estimate_CT(s, 1.0, 16, samples=3, seed=0)
