@@ -84,6 +84,12 @@ class BandCholesky:
     x_p = [S_p, -H_p] [z_p; x_{p+1}].  The blocks [S_p, -H_p], at most
     16 kb n bytes (1.1 MB on disk 16x64), are built on the first wide
     solve and live as long as the factor.
+
+    Each path returns the layout it computes in: ``dpbtrs`` a Fortran
+    block, the level-3 path a new row-major (C) block, in which every row
+    block x_p is one contiguous (kb, k) array that the products read and
+    write without a transposing copy.  Either path takes a right-hand side
+    in either order and gives the same bits for both.
     """
 
     def __init__(self, A):
@@ -114,8 +120,8 @@ class BandCholesky:
         return x
 
     def _solve_wide(self, b) -> np.ndarray:
-        """The blocked solve of the class docstring; x is a new Fortran array."""
-        x = np.array(b, dtype=float, order="F")
+        """The blocked solve of the class docstring; x is a new C-ordered array."""
+        x = np.array(b, dtype=float, order="C")
         if x.shape[0] != self.ab.shape[1]:
             raise ValueError(
                 f"right-hand side must have {self.ab.shape[1]} rows, got {x.shape}"
@@ -257,8 +263,12 @@ def assemble(
 
 
 def inner_X2(sys: DiscreteSystem, U: np.ndarray, V: np.ndarray) -> float:
-    """Mass inner product U^T M V of coupled state vectors."""
-    U = np.asarray(U, dtype=float)
+    """Mass inner product U^T M V of coupled state vectors.
+
+    U is read contiguous: a strided column of a row-major block would take
+    BLAS's strided dot product, whose bits differ from those of its copy.
+    """
+    U = np.ascontiguousarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     if U.shape != (sys.ndof,) or V.shape != (sys.ndof,):
         raise ValueError(

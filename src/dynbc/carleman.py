@@ -111,11 +111,12 @@ def _level_sums(sys: DiscreteSystem, params_list, times, levels, samples: int) -
     """Per-(cell, sample) bulk, gradient, surface and rhs sums, shape (cells, 4, samples).
 
     levels yields (n, phi), phi the (ndof, samples) adjoint block at the
-    interior time times[n], and each level is reduced for every cell as it
-    comes: the cells' xi, xi^3 and p are stacked once, and per level phi^2,
-    the nodal |grad phi|^2, one (cells, ndof) block of weights and four
-    products of mass-weighted weights with the level, (cells, ndof) by
-    (ndof, samples).  The sums are not yet multiplied by dt.
+    interior time times[n] in either order, and each level is reduced for
+    every cell as it comes, in column-major order: the cells' xi, xi^3 and
+    p are stacked once, and per level phi^2, the nodal |grad phi|^2, one
+    (cells, ndof) block of weights and four products of mass-weighted
+    weights with the level, (cells, ndof) by (ndof, samples).  The sums are
+    not yet multiplied by dt.
     """
     ops = _cell_gradient_ops(sys.mesh)
     bnodes, m_bulk, m_surf = sys.boundary_nodes, sys.m_bulk, sys.m_surf
@@ -124,6 +125,8 @@ def _level_sums(sys: DiscreteSystem, params_list, times, levels, samples: int) -
     T, R = np.array([(params.T, params.R) for params in params_list]).T[..., None]
     sums = np.zeros((len(params_list), 4, samples))
     for n, phi in levels:
+        # the products' sums move their last bits with phi's layout
+        phi = np.asfortranarray(phi)
         phi_sq = phi**2
         grad_sq = _nodal_grad_sq(sys, phi, ops)
         comb_sq = (sys.beta[:, None] * phi[bnodes]) ** 2
@@ -183,11 +186,13 @@ def carleman_sweep(
     horizon T and not repeat a (lambda, R) pair (ValueError otherwise).
     Each sample is a standard normal final datum of unit M-norm (the zero
     draw is rejected).  The samples are stepped backward as the columns of
-    one block on one Propagator, and each interior level t_n is reduced as
-    soon as it is solved, by the reduction that ``carleman_lhs`` and
-    ``carleman_rhs`` run on a stored trajectory.  No trajectory is stored,
-    and the solve to t_0, where the weights vanish, is not made.  The block
-    solve moves each side in its last bits against a one-sample solve.
+    one row-major block on one Propagator, and each interior level t_n is
+    reduced as soon as it is solved, by the reduction that ``carleman_lhs``
+    and ``carleman_rhs`` run on a stored trajectory; it reads the level in
+    column-major order, a copy only for the row-major levels of 32 or more
+    samples.  No trajectory is stored, and the solve to t_0, where the
+    weights vanish, is not made.  The block solve moves each side in its
+    last bits against a one-sample solve.
     Rows are in grid order: a fixed seed gives the same table bits.
     """
     params_list = list(params_grid)
@@ -201,7 +206,7 @@ def carleman_sweep(
         raise ValueError(f"need at least one sample, got {samples}")
     if nt < 2:
         raise ValueError(f"need nt >= 2 for interior time nodes, got {nt}")
-    block = np.empty((sys.ndof, samples), order="F")
+    block = np.empty((sys.ndof, samples))
     _unit_normal_draws(sys, np.random.default_rng(seed), block)
     prop = Propagator(sys, params_list[0].T, nt, theta)
     # t_{N-1} down to t_1: the weights vanish at t_N = T and t_0, and islice

@@ -171,9 +171,11 @@ class Propagator:
         with dt B g_hat^n added to the boundary rows as dt (m_surf g_hat^n).
         A level is solved only when it is asked for, so a caller that stops
         early makes none of the remaining solves, and X is not held past the
-        first.  Each level is a new array; a block stays in Fortran order.
+        first.  Each level after X is a new array in the layout its solve
+        computes in (``BandCholesky``): Fortran order from ``dpbtrs``,
+        row-major from the level-3 path; no level is converted.
         """
-        cur = np.asfortranarray(X)
+        cur = np.asarray(X)
         del X
         yield cur
         mass = np.expand_dims(self.sys.M_diag / self.theta, tuple(range(1, cur.ndim)))

@@ -82,10 +82,13 @@ def estimate_CT(
     the backward solve from a unit-M-norm final datum; the first sample is
     the lowest (K, M) eigenvector, the rest are seeded standard normal
     draws.  The samples are stepped as one (ndof, samples) block on one
-    band Cholesky factor: nt multi-column solves in all.  Each level is
-    reduced as it is solved to one integrand per sample, the same sums as
-    ``observation_energy``, so the estimate holds the (ndof, samples) block
-    in flight and (nt + 1) x samples integrands.
+    band Cholesky factor: nt multi-column solves in all.  The block is
+    row-major, the layout of the level-3 solve that steps 32 or more samples
+    (``BandCholesky``).  Each level is reduced as it is solved to one
+    integrand per sample, the same sums as ``observation_energy``: its
+    boundary rows are gathered and each sample's values summed as one
+    contiguous row.  The estimate holds the (ndof, samples) block in flight
+    and (nt + 1) x samples integrands.
     Requires beta bounded below by a positive constant, otherwise the
     observation can vanish.  Raises RuntimeError when a sample's energy is
     not finite or its observation energy is not positive.
@@ -98,7 +101,7 @@ def estimate_CT(
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     prop = Propagator(sys, T, nt, theta)
-    block = np.empty((sys.ndof, samples), order="F")
+    block = np.empty((sys.ndof, samples))
     block[:, 0] = smallest_eigenpair(sys)[1]
     _unit_normal_draws(sys, np.random.default_rng(seed), block[:, 1:])
     levels = prop._backward_levels(block)
@@ -107,7 +110,8 @@ def estimate_CT(
     # sums and the quadrature of observation_energy bit for bit
     integrand = np.empty((nt + 1, samples), order="F")
     for n, phi in levels:
-        integrand[n] = _boundary_integrand(sys, phi.T.take(sys.boundary_nodes, axis=1))
+        bound = np.ascontiguousarray(phi[sys.boundary_nodes].T)
+        integrand[n] = _boundary_integrand(sys, bound)
 
     per_sample = []
     for j in range(samples):

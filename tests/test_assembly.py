@@ -69,6 +69,19 @@ def test_inner_bilinearity():
     assert abs(left - right) <= 1e-13 * max(abs(left), 1.0)
 
 
+def test_inner_of_a_strided_column_equals_that_of_its_copy():
+    # the columns of a row-major block are strided; BLAS's strided dot
+    # product sums them in another order than a contiguous copy
+    s = assemble(build_disk_mesh(1.0, 16, 64), 1.0, 0.5, 1.0)
+    block = np.random.default_rng(4).standard_normal((s.ndof, 64))
+    assert block.flags.c_contiguous
+    for col in block.T:
+        copy = col.copy()
+        assert inner_X2(s, col, col) == inner_X2(s, copy, copy)
+        assert inner_X2(s, col, block[:, 0]) == inner_X2(s, copy, block[:, 0].copy())
+        assert norm_X2(s, col) == norm_X2(s, copy)
+
+
 def test_inner_dimension_mismatch():
     s = interval_sys()
     with pytest.raises(ValueError):
@@ -195,8 +208,9 @@ def test_band_cholesky_sums_duplicate_entries():
 
 
 def test_only_wide_blocks_take_the_blocked_solve(monkeypatch):
-    # a vector and 8 columns go to dpbtrs and build no blocks; 40 columns
-    # go to the blocked path, whose blocks are freed with the factor
+    # a vector and 8 columns go to dpbtrs and build no blocks, and come back
+    # in its Fortran order; 40 columns go to the blocked path, which returns
+    # a row-major block, and whose blocks are freed with the factor
     s = assemble(build_disk_mesh(1.0, 8, 32), 1.0, 0.5, 1.0)
     calls = []
     dpbtrs = assembly.lapack.dpbtrs
@@ -209,12 +223,12 @@ def test_only_wide_blocks_take_the_blocked_solve(monkeypatch):
     factor = assembly.BandCholesky(s.M + 0.01 * s.K)
     B = np.random.default_rng(3).standard_normal((s.ndof, 40))
     for b in (B[:, 0], B[:, :8]):
-        factor.solve(b)
+        assert factor.solve(b).flags.f_contiguous
     assert calls == [(s.ndof,), (s.ndof, 8)]
     assert "_blocks" not in vars(factor)
     x = factor.solve(B)
     assert len(calls) == 2
-    assert x.shape == B.shape and x.flags.f_contiguous
+    assert x.shape == B.shape and x.flags.c_contiguous and not x.flags.f_contiguous
     assert len(factor._blocks) == -(-s.ndof // max(factor.kd, 32))
     block = weakref.ref(factor._blocks[0])
     del factor

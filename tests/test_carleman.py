@@ -530,6 +530,15 @@ def test_sweep_rejects_repeated_cell():
 )
 def test_trajectory_sides_equal_the_sweep_rows(mesh):
     """carleman_lhs/carleman_rhs on one stored trajectory give the sweep's row."""
+    _check_trajectory_sides(mesh, 3)  # 3 samples: the sweep's solves are dpbtrs
+
+
+def test_trajectory_sides_equal_the_wide_sweep_rows():
+    # 40 samples: the sweep's solves take the blocked level-3 path
+    _check_trajectory_sides(build_disk_mesh(1.0, 8, 32), 40)
+
+
+def _check_trajectory_sides(mesh, samples):
     s = assemble(mesh, 1.0, 0.0, 1.0)
     eta = build_eta(mesh)
     grid = [
@@ -537,7 +546,7 @@ def test_trajectory_sides_equal_the_sweep_rows(mesh):
         for lam in (0.5, 1.0)  # lambda = 2 underflows the disk and rect rhs to 0
         for R in (1.0, 2.0)
     ]
-    nt, samples, seed = 16, 3, 5
+    nt, seed = 16, 5
     sw = carleman_sweep(s, grid, nt, 0.5, samples, seed)
     data = np.empty((s.ndof, samples))
     _unit_normal_draws(s, np.random.default_rng(seed), data)

@@ -540,6 +540,18 @@ def test_band_cholesky_matches_sparse_lu(name):
             assert np.all(err <= tol)
 
 
+@pytest.mark.parametrize("name", ["disk8x32", "rect7x5"])
+def test_wide_solve_bits_do_not_depend_on_the_block_order(name):
+    # 40 columns take the blocked level-3 path, which computes in row-major
+    # order whatever the order of the right-hand side
+    s = FACTOR_SYSTEMS[name]()
+    factor = BandCholesky(s.M + 0.5 * 0.7 / 12 * s.K)
+    b = np.random.default_rng(24).standard_normal((s.ndof, 40))
+    got = factor.solve(b)
+    assert "_blocks" in vars(factor)
+    assert factor.solve(np.asfortranarray(b)).tobytes() == got.tobytes()
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
 def test_propagator_bitwise_equals_loop_oracle(name, theta):
@@ -644,16 +656,18 @@ def test_step_is_self_adjoint_in_M(name, theta):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
 def test_block_levels_are_new_fortran_arrays(name, theta):
-    # the band solve reads a Fortran-ordered block without a copy, and a
-    # caller may keep every level, as list(_levels(...)) does; 5 columns
-    # are solved by dpbtrs, 40 by the blocked level-3 path
+    # each level after the first comes in the layout of the solve that made
+    # it, whatever the order of the block: Fortran from dpbtrs (5 columns),
+    # row-major from the blocked level-3 path (40); the first is the block
+    # itself, and a caller may keep every level, as list(_levels(...)) does
     s = PROPAGATOR_SYSTEMS[name]()
     prop = Propagator(s, 0.7, 12, theta)
-    for k in (5, 40):
+    for k, layout in ((5, "F_CONTIGUOUS"), (40, "C_CONTIGUOUS")):
         X = np.random.default_rng(21).standard_normal((s.ndof, k))
         for block in (X, np.asfortranarray(X)):
             levels = list(prop._levels(block))
-            assert all(level.flags.f_contiguous for level in levels)
+            assert levels[0] is block
+            assert all(level.flags[layout] for level in levels[1:])
             for n, level in enumerate(levels[1:], start=1):
                 assert not np.shares_memory(level, block)
                 assert not any(np.shares_memory(level, prev) for prev in levels[:n])
