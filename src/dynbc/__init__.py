@@ -18,7 +18,9 @@ from .assembly import (
 )
 from .carleman import (
     CarlemanParams,
+    EtaField,
     SweepResult,
+    build_eta,
     carleman_lhs,
     carleman_rhs,
     carleman_sweep,
@@ -49,9 +51,7 @@ from .evolution import (
 )
 from .mesh import (
     BulkSurfaceMesh,
-    EtaField,
     build_disk_mesh,
-    build_eta,
     build_interval_mesh,
     build_rect_mesh,
     validate_mesh,

@@ -4,8 +4,9 @@ The inequality is a global Carleman estimate of Fursikov-Imanuvilov type
 (Controllability of Evolution Equations, Seoul Nat. Univ. Lecture Notes 34,
 1996) in the form for dynamic boundary conditions of Maniar, Meyries and
 Schnaubelt (Evol. Equ. Control Theory 6, 2017).  For lambda > 0, m > 1 and
-the auxiliary field eta (positive inside, zero on the boundary) the weights
-are
+the auxiliary field eta, the torsion function -Laplace(eta) = 1 in Omega,
+eta = 0 on Gamma (``build_eta``; eta > 0 inside, d_nu eta < 0 on Gamma),
+the weights are
 
     theta(t) = 1 / (t (T - t)),
     xi(x)    = exp(lambda (m ||eta||_inf + eta(x))),
@@ -38,24 +39,75 @@ an empirical constant, not certified.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import DiscreteSystem, _p1_cell_gradients, _unit_normal_draws
+from .assembly import (
+    BandCholesky,
+    DiscreteSystem,
+    _bulk_operators,
+    _p1_cell_gradients,
+    _unit_normal_draws,
+)
 from .evolution import Propagator, Trajectory
-from .mesh import BulkSurfaceMesh, EtaField
+from .mesh import BulkSurfaceMesh
 
 __all__ = [
     "CarlemanParams",
+    "EtaField",
     "SweepResult",
+    "build_eta",
     "carleman_lhs",
     "carleman_rhs",
     "carleman_sweep",
     "weight_bounds",
     "pointwise_lambda_floor",
 ]
+
+
+@dataclass(frozen=True)
+class EtaField:
+    """Carleman auxiliary field on a mesh (``build_eta``); ``sup_norm``, the
+    max of the nodal values, is the value used inside the weight formulas."""
+
+    values: np.ndarray
+    gradient: np.ndarray
+    laplacian: np.ndarray
+    sup_norm: float
+    boundary_normal_derivative: np.ndarray
+
+
+def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
+    """The torsion function of any mesh: -Laplace(eta) = 1 in Omega, eta = 0 on Gamma.
+
+    One ``BandCholesky`` solves the lumped P1 system K_II eta_I = m_I on the
+    interior nodes (coefficient-free bulk stiffness K, lumped mass m); the
+    boundary values are exact zeros.  eta is not rescaled, so sup eta is
+    (b - a)^2 / 8 on [a, b], about rho^2 / 4 on a disk and 0.0737 on the
+    unit square.  The gradient is the volume-weighted nodal average of the
+    cell gradients, ``laplacian`` is the -1 the solve imposes, and the
+    boundary normal derivative is the gradient dotted with the outward
+    normals: < 0 off corners, by Hopf's lemma (Gilbarg-Trudinger, Lemma 3.4).
+    """
+    m, K = _bulk_operators(mesh)
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
+    values = np.zeros(mesh.n_nodes)
+    values[interior] = BandCholesky(K[interior][:, interior]).solve(m[interior])
+    grad, scatter = _cell_gradient_ops(mesh)
+    # rows of the stacked operator are d/dx_d on each cell, dimension-major
+    gradient = (scatter @ (grad @ values).reshape(mesh.dim, -1).T) / m[:, None]
+    return EtaField(
+        values=values,
+        gradient=gradient,
+        laplacian=np.full(mesh.n_nodes, -1.0),
+        sup_norm=float(values.max()),
+        boundary_normal_derivative=np.sum(
+            gradient[mesh.boundary_nodes] * mesh.outward_normals, axis=1
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -81,10 +133,15 @@ class CarlemanParams:
 
 @dataclass
 class SweepResult:
-    """Rows (lam, R, sample_id, lhs, rhs, ratio) plus per-cell max ratios."""
+    """Rows (lam, R, sample_id, lhs, rhs, ratio) plus per-cell summaries.
+
+    ``max_ratio`` is each cell's largest finite ratio, None when the cell has
+    none; ``nonfinite`` counts each cell's samples whose ratio is not finite.
+    """
 
     rows: list[tuple[float, float, int, float, float, float]]
-    max_ratio: dict[tuple[float, float], float]
+    max_ratio: dict[tuple[float, float], float | None]
+    nonfinite: dict[tuple[float, float], int]
 
 
 def _space_weights(params: CarlemanParams) -> tuple[np.ndarray, np.ndarray]:
@@ -216,20 +273,22 @@ def carleman_sweep(
     times = np.linspace(0.0, prop.T, nt + 1)
     sums = _level_sums(sys, params_list, times, levels, samples)
 
-    rows = []
-    max_ratio: dict[tuple[float, float], float] = {}
+    result = SweepResult(rows=[], max_ratio={}, nonfinite={})
     for params, (bulk, grad, surf, rhs_sum) in zip(params_list, sums):
         lhs_all = _lhs(params, prop.dt, bulk, grad, surf)
         rhs_all = prop.dt * rhs_sum
-        cell_max = 0.0
+        finite = []
         for sid, (lhs, rhs) in enumerate(zip(lhs_all.tolist(), rhs_all.tolist())):
             # rhs underflows to 0 when lam*m*sup(eta) pushes exp(-2 R alpha)
             # below double precision everywhere; record nan, don't raise
             ratio = lhs / rhs if rhs > 0.0 else float("nan")
-            rows.append((params.lam, params.R, sid, lhs, rhs, ratio))
-            cell_max = max(cell_max, ratio)
-        max_ratio[(params.lam, params.R)] = cell_max
-    return SweepResult(rows=rows, max_ratio=max_ratio)
+            result.rows.append((params.lam, params.R, sid, lhs, rhs, ratio))
+            if math.isfinite(ratio):
+                finite.append(ratio)
+        key = (params.lam, params.R)
+        result.max_ratio[key] = max(finite, default=None)
+        result.nonfinite[key] = samples - len(finite)
+    return result
 
 
 def weight_bounds(params: CarlemanParams, times: np.ndarray) -> dict:
@@ -269,11 +328,13 @@ def pointwise_lambda_floor(eta: EtaField) -> np.ndarray:
 
     The pointwise lower bound on lambda blows up where grad eta vanishes
     (the interior critical point eta must have); such nodes report inf.
+    There the recovered gradient is roundoff, not 0: a |grad eta|^2 at most
+    machine epsilon times its max over the nodes counts as zero.
     The sweep only records this diagnostic, it does not enforce it.
     """
     grad_sq = np.sum(eta.gradient**2, axis=1)
     out = np.full(eta.values.size, np.inf)
-    nz = grad_sq > 0
+    nz = grad_sq > np.finfo(float).eps * grad_sq.max()
     out[nz] = 2.0 * np.abs(eta.laplacian[nz]) / grad_sq[nz]
     return out
 

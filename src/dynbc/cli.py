@@ -74,7 +74,7 @@ import scipy
 
 from . import __version__
 from .assembly import assemble, norm_X2, smallest_eigenpair
-from .carleman import CarlemanParams, carleman_sweep, pointwise_lambda_floor
+from .carleman import CarlemanParams, build_eta, carleman_sweep, pointwise_lambda_floor
 from .control import ControlProblem, synthesize_ladder, verify_null
 from .evolution import (
     BoundarySignal,
@@ -84,7 +84,7 @@ from .evolution import (
     trajectory_norms,
     trajectory_to_csv,
 )
-from .mesh import build_disk_mesh, build_eta, build_interval_mesh, build_rect_mesh
+from .mesh import build_disk_mesh, build_interval_mesh, build_rect_mesh
 from .observability import estimate_CT
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "main"]
@@ -376,7 +376,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         # a non-finite summary scalar may be what failed the manifest write
         manifest["summary"] = {
-            k: v if math.isfinite(v) else None for k, v in manifest["summary"].items()
+            k: v if v is not None and math.isfinite(v) else None
+            for k, v in manifest["summary"].items()
         }
         _make_out_dir(out, out_dir)
         _write_json(os.path.join(out, "manifest.json"), manifest)
@@ -462,7 +463,6 @@ def _run_carleman(sys_, config, out, manifest) -> None:
     result = carleman_sweep(
         sys_, grid, data["nt"], data["theta"], p["samples"], p["seed"]
     )
-    max_ratio = result.max_ratio
     with _artifact(manifest, out, "carleman_sweep.csv") as path:
         _write_csv(path, "lambda,R,sample_id,lhs,rhs,ratio", result.rows,
                    config.config_hash)
@@ -474,14 +474,17 @@ def _run_carleman(sys_, config, out, manifest) -> None:
             {
                 "config_hash": config.config_hash,
                 "max_ratio": [
-                    {"lambda": lam, "R": R, "ratio": r}
-                    for (lam, R), r in max_ratio.items()
+                    {"lambda": lam, "R": R, "ratio": r,
+                     "nonfinite": result.nonfinite[(lam, R)]}
+                    for (lam, R), r in result.max_ratio.items()
                 ],
                 "lambda_floor_unbounded_nodes": int(np.sum(~np.isfinite(floor))),
                 "lambda_floor_max_finite": float(finite.max()) if finite.size else None,
             },
         )
-    manifest["summary"]["max_ratio_overall"] = float(max(max_ratio.values()))
+    manifest["summary"]["max_ratio_overall"] = max(
+        (r for r in result.max_ratio.values() if r is not None), default=None
+    )
 
 
 def _run_observability(sys_, config, out, manifest) -> None:

@@ -2,28 +2,22 @@
 
 Builds 1D intervals and 2D rectangles/disks as conforming simplicial meshes
 that carry explicit boundary data: boundary node indices, boundary edges with
-arclength, and outward unit normals.  Also constructs the auxiliary field
-``eta`` used by the Carleman weights: eta > 0 inside the domain, eta = 0 on
-the boundary, with strictly negative outward normal derivative away from
-rectangle corners.  Each builder is the one place that knows its geometry:
-it stores the closed form of eta on the mesh, and ``build_eta`` evaluates it.
+arclength, and outward unit normals.  A mesh holds geometry only; every field
+on it, the Carleman auxiliary field ``eta`` included (``carleman.build_eta``),
+is computed from the mesh alone, so a new geometry needs only a builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "BulkSurfaceMesh",
-    "EtaField",
     "build_interval_mesh",
     "build_rect_mesh",
     "build_disk_mesh",
-    "build_eta",
     "validate_mesh",
 ]
 
@@ -41,8 +35,6 @@ class BulkSurfaceMesh:
     boundary_edges : (n_edges, 2) indices into ``bulk_nodes``; empty in 1D.
     outward_normals : (n_boundary, dim) unit outward normals at boundary nodes.
     h : max cell diameter.
-    eta_form : the geometry's closed-form eta; maps node coordinates
-        (n, dim) to (values (n,), gradient (n, dim), Laplacian (n,)).
     corner_boundary_indices : positions within ``boundary_nodes`` where the
         boundary is not smooth (rectangle corners); empty otherwise.
     """
@@ -54,7 +46,6 @@ class BulkSurfaceMesh:
     boundary_edges: np.ndarray
     outward_normals: np.ndarray
     h: float
-    eta_form: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     corner_boundary_indices: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=int)
     )
@@ -66,22 +57,6 @@ class BulkSurfaceMesh:
     @property
     def n_boundary(self) -> int:
         return self.boundary_nodes.shape[0]
-
-
-@dataclass(frozen=True)
-class EtaField:
-    """Carleman auxiliary field on a mesh.
-
-    Positive at interior nodes, zero at boundary nodes, with analytic
-    gradient and Laplacian.  ``sup_norm`` is the max of the nodal values and
-    is the value used inside the weight formulas.
-    """
-
-    values: np.ndarray
-    gradient: np.ndarray
-    laplacian: np.ndarray
-    sup_norm: float
-    boundary_normal_derivative: np.ndarray
 
 
 def build_interval_mesh(a: float, b: float, n: int) -> BulkSurfaceMesh:
@@ -107,7 +82,6 @@ def build_interval_mesh(a: float, b: float, n: int) -> BulkSurfaceMesh:
         boundary_edges=np.empty((0, 2), dtype=int),
         outward_normals=normals,
         h=(b - a) / n,
-        eta_form=partial(_interval_eta, float(a), float(b)),
     )
 
 
@@ -166,7 +140,6 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> BulkSurfaceMesh:
         boundary_edges=edges,
         outward_normals=normals,
         h=h,
-        eta_form=partial(_rect_eta, float(lx), float(ly)),
         corner_boundary_indices=corners,
     )
 
@@ -211,57 +184,7 @@ def build_disk_mesh(rho: float, nr: int, ntheta: int) -> BulkSurfaceMesh:
         boundary_edges=edges,
         outward_normals=normals,
         h=h,
-        eta_form=partial(_disk_eta, float(rho)),
     )
-
-
-def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
-    """Evaluate the mesh's closed-form auxiliary field at its nodes.
-
-    Gradients and Laplacians are analytic (see the ``_*_eta`` forms), the
-    boundary values are set to exact zeros, and the boundary normal
-    derivative is grad(eta) . normal.  ``sup_norm`` is the discrete max of
-    the nodal values.
-    """
-    values, grad, lap = mesh.eta_form(mesh.bulk_nodes)
-    # Boundary values are exact zeros of the closed forms; clip roundoff.
-    values = values.copy()
-    values[mesh.boundary_nodes] = 0.0
-    normal_der = np.einsum(
-        "ij,ij->i", grad[mesh.boundary_nodes], mesh.outward_normals
-    )
-    return EtaField(
-        values=values,
-        gradient=grad,
-        laplacian=lap,
-        sup_norm=float(values.max()),
-        boundary_normal_derivative=normal_der,
-    )
-
-
-def _interval_eta(a: float, b: float, x: np.ndarray):
-    """eta(x) = (x - a)(b - x) on [a, b]."""
-    xv = x[:, 0]
-    values = (xv - a) * (b - xv)
-    grad = (a + b - 2.0 * xv).reshape(-1, 1)
-    return values, grad, np.full(x.shape[0], -2.0)
-
-
-def _rect_eta(lx: float, ly: float, x: np.ndarray):
-    """eta = x(lx - x) y(ly - y) on [0, lx] x [0, ly], scaled to 1 at the center."""
-    scale = (lx / 2.0) ** 2 * (ly / 2.0) ** 2
-    xv, yv = x[:, 0], x[:, 1]
-    values = xv * (lx - xv) * yv * (ly - yv) / scale
-    gx = (lx - 2.0 * xv) * yv * (ly - yv) / scale
-    gy = xv * (lx - xv) * (ly - 2.0 * yv) / scale
-    lap = -2.0 * (yv * (ly - yv) + xv * (lx - xv)) / scale
-    return values, np.column_stack([gx, gy]), lap
-
-
-def _disk_eta(rho: float, x: np.ndarray):
-    """eta(x) = rho^2 - |x|^2 on the disk of radius rho."""
-    values = rho**2 - np.sum(x**2, axis=1)
-    return values, -2.0 * x, np.full(x.shape[0], -4.0)
 
 
 def validate_mesh(mesh: BulkSurfaceMesh) -> None:

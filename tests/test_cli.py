@@ -429,6 +429,27 @@ def test_carleman_task_is_deterministic(tmp_path):
     assert summary["lambda_floor_unbounded_nodes"] == 1
 
 
+def test_carleman_cell_without_a_finite_ratio_reads_null(tmp_path):
+    # at lambda = 16 exp(-2 R alpha) underflows on Gamma: every rhs is 0
+    cfg = base_config(task="carleman", T=1.0, nt=16)
+    cfg["params"] = {"lambda_grid": [2.0, 16.0], "R_grid": [2.0], "m": 1.5,
+                     "samples": 3, "seed": 7}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "carleman_sweep.csv").read_text().splitlines()[2:]]
+    finite = max(float(r[5]) for r in rows if r[0] == "2")
+    assert all(r[5] == "nan" for r in rows if r[0] == "16")
+    summary = json.loads((out / "carleman_summary.json").read_text())
+    assert summary["max_ratio"] == [
+        {"lambda": 2.0, "R": 2.0, "ratio": finite, "nonfinite": 0},
+        {"lambda": 16.0, "R": 2.0, "ratio": None, "nonfinite": 3},
+    ]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["summary"]["max_ratio_overall"] == finite
+
+
 def test_observability_task(tmp_path):
     cfg = base_config(task="observability")
     cfg["geometry"]["n"] = 16
