@@ -89,7 +89,11 @@ class BandCholesky:
     block, the level-3 path a new row-major (C) block, in which every row
     block x_p is one contiguous (kb, k) array that the products read and
     write without a transposing copy.  Either path takes a right-hand side
-    in either order and gives the same bits for both.
+    in either order and gives the same bits for both.  Both run in
+    ``_solve_in_place``, which solves in a right-hand side already in its
+    path's layout; ``solve`` first copies b into that layout, and the
+    stepping loop (``Propagator._levels``) hands over the right-hand side
+    it has just formed.
     """
 
     def __init__(self, A):
@@ -112,16 +116,22 @@ class BandCholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b for an (ndof,) vector or an (ndof, k) block; b is not modified."""
-        if np.ndim(b) == 2 and np.shape(b)[1] >= _WIDE:
+        wide = np.ndim(b) == 2 and np.shape(b)[1] >= _WIDE
+        return self._solve_in_place(np.array(b, dtype=float, order="C" if wide else "F"))
+
+    def _solve_in_place(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b, computed in b itself when b is a float array in its path's
+        layout (Fortran for ``dpbtrs``, C for the level-3 path), else in a copy."""
+        if b.ndim == 2 and b.shape[1] >= _WIDE:
             return self._solve_wide(b)
-        x, info = lapack.dpbtrs(self.ab, b)
+        x, info = lapack.dpbtrs(self.ab, b, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrs failed (info={info})")
         return x
 
-    def _solve_wide(self, b) -> np.ndarray:
-        """The blocked solve of the class docstring; x is a new C-ordered array."""
-        x = np.array(b, dtype=float, order="C")
+    def _solve_wide(self, b: np.ndarray) -> np.ndarray:
+        """The blocked solve of the class docstring, in b when b is C-ordered."""
+        x = np.asarray(b, dtype=float, order="C")
         if x.shape[0] != self.ab.shape[1]:
             raise ValueError(
                 f"right-hand side must have {self.ab.shape[1]} rows, got {x.shape}"
@@ -360,26 +370,28 @@ def _p1_cell_gradients(mesh: BulkSurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (vol, G) with vol of shape (ncells,) and G of shape
     (ncells, dim + 1, dim): G[c, l] is the gradient on cell c of the basis
-    function of its l-th node.
+    function of its l-th node.  Each entry is written from 1-D coordinate
+    gathers into the one array G, which is then divided by the cell's
+    doubled volume in place.
     """
     cells = mesh.bulk_cells
+    G = np.empty((cells.shape[0], mesh.dim + 1, mesh.dim))
     if mesh.dim == 1:
         x = mesh.bulk_nodes[:, 0]
         hc = x[cells[:, 1]] - x[cells[:, 0]]
-        return hc, np.column_stack([-1.0 / hc, 1.0 / hc])[:, :, None]
-    pts = mesh.bulk_nodes
-    a, b, c = pts[cells[:, 0]], pts[cells[:, 1]], pts[cells[:, 2]]
-    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
-    G = np.stack(
-        [
-            np.column_stack([b[:, 1] - c[:, 1], c[:, 0] - b[:, 0]]),
-            np.column_stack([c[:, 1] - a[:, 1], a[:, 0] - c[:, 0]]),
-            np.column_stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]]),
-        ],
-        axis=1,
-    ) / area2[:, None, None]
+        np.divide(-1.0, hc, out=G[:, 0, 0])
+        np.divide(1.0, hc, out=G[:, 1, 0])
+        return hc, G
+    x, y = (np.ascontiguousarray(mesh.bulk_nodes[:, d]) for d in range(2))
+    (xa, ya), (xb, yb), (xc, yc) = ((x[i], y[i]) for i in cells.T)
+    area2 = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+    np.subtract(yb, yc, out=G[:, 0, 0])
+    np.subtract(xc, xb, out=G[:, 0, 1])
+    np.subtract(yc, ya, out=G[:, 1, 0])
+    np.subtract(xa, xc, out=G[:, 1, 1])
+    np.subtract(ya, yb, out=G[:, 2, 0])
+    np.subtract(xb, xa, out=G[:, 2, 1])
+    G /= area2[:, None, None]
     return 0.5 * area2, G
 
 

@@ -478,7 +478,9 @@ def _run_carleman(sys_, config, out, manifest) -> None:
                      "nonfinite": result.nonfinite[(lam, R)]}
                     for (lam, R), r in result.max_ratio.items()
                 ],
-                "lambda_floor_unbounded_nodes": int(np.sum(~np.isfinite(floor))),
+                "lambda_floor_unbounded_nodes": int(
+                    np.sum(~np.isfinite(floor) & (eta.values > 0.0))
+                ),
                 "lambda_floor_max_finite": float(finite.max()) if finite.size else None,
             },
         )

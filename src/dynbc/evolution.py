@@ -173,19 +173,24 @@ class Propagator:
         early makes none of the remaining solves, and X is not held past the
         first.  Each level after X is a new array in the layout its solve
         computes in (``BandCholesky``): Fortran order from ``dpbtrs``,
-        row-major from the level-3 path; no level is converted.
+        row-major from the level-3 path; no level is converted.  A step
+        allocates one array, its right-hand side, and solves in it; the
+        lagged term is formed in one scratch array kept for the march.
         """
         cur = np.asarray(X)
         del X
         yield cur
         mass = np.expand_dims(self.sys.M_diag / self.theta, tuple(range(1, cur.ndim)))
         source = None if ghat is None else self.dt * (self.sys.m_surf * ghat)
+        lagged = None
         for n in range(self.nt):
             rhs = mass * cur
             if source is not None:
                 rhs[self.sys.boundary_nodes] += source[n]
-            nxt = self.factor.solve(rhs)  # a copy: rhs is free again
-            nxt -= np.multiply((1.0 - self.theta) / self.theta, cur, out=rhs)
+            nxt = self.factor._solve_in_place(rhs)
+            if lagged is None:  # in the layout of the solved levels, not X's
+                lagged = np.empty_like(nxt)
+            nxt -= np.multiply((1.0 - self.theta) / self.theta, cur, out=lagged)
             yield (cur := nxt)
 
     def _backward_levels(self, PhiT: np.ndarray):

@@ -9,6 +9,7 @@ is computed from the mesh alone, so a new geometry needs only a builder.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,9 +222,16 @@ def validate_mesh(mesh: BulkSurfaceMesh) -> None:
 
 
 def _max_cell_diameter(nodes: np.ndarray, cells: np.ndarray) -> float:
-    hmax = 0.0
-    for i in range(cells.shape[1]):
-        for j in range(i + 1, cells.shape[1]):
-            d = np.linalg.norm(nodes[cells[:, i]] - nodes[cells[:, j]], axis=1)
-            hmax = max(hmax, float(d.max()))
-    return hmax
+    """Longest cell edge: the sqrt of the largest squared length dx*dx + dy*dy.
+
+    One flat pass per node pair over 1-D coordinate gathers.  The squares add
+    in coordinate order, as ``np.linalg.norm(axis=1)`` adds them (the 0 that
+    ``sum`` starts from changes no bit), and sqrt is monotone and correctly
+    rounded, so this is the max of the row norms bit for bit.
+    """
+    coords = [np.ascontiguousarray(nodes[:, d]) for d in range(nodes.shape[1])]
+    sq_max = max(
+        float(sum((x[cells[:, i]] - x[cells[:, j]]) ** 2 for x in coords).max())
+        for i, j in itertools.combinations(range(cells.shape[1]), 2)
+    )
+    return float(np.sqrt(sq_max))

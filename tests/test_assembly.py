@@ -215,9 +215,9 @@ def test_only_wide_blocks_take_the_blocked_solve(monkeypatch):
     calls = []
     dpbtrs = assembly.lapack.dpbtrs
 
-    def counting_dpbtrs(ab, b):
+    def counting_dpbtrs(ab, b, **kwargs):
         calls.append(np.shape(b))
-        return dpbtrs(ab, b)
+        return dpbtrs(ab, b, **kwargs)
 
     monkeypatch.setattr(assembly.lapack, "dpbtrs", counting_dpbtrs)
     factor = assembly.BandCholesky(s.M + 0.01 * s.K)

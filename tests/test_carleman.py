@@ -127,6 +127,48 @@ def test_weight_invariants_on_grid():
         assert np.all(exp_factor < 1)
 
 
+def test_level_weights_keep_a_nan_in_p():
+    # exp is skipped only below its underflow bound: a nan argument is not
+    # below it, so it reaches exp and is not folded into 0.0
+    p = np.array([[1.0, np.nan, 1e6]])
+    xi = np.ones_like(p)
+    t3x3e, txe = _level_weights(1.0, 1.0, xi, xi, p, np.array([0.5]))
+    for w in (t3x3e, txe):
+        assert np.isnan(w[0, 1])
+        assert w[0, 0] > 0.0 and w[0, 2] == 0.0
+
+
+def _plain_exp_level_weights(T, R, xi, xi3, p, t):
+    """_level_weights with exp called on every argument."""
+    theta = 1.0 / (t * (T - t))
+    ef = np.exp(-2.0 * R * (theta * p))
+    t3x3e = theta**3 * xi3 * ef
+    ef *= theta * xi
+    return t3x3e, ef
+
+
+def test_level_weights_bitwise_equal_plain_exp_on_the_bench_grid():
+    # the certify benchmark's Carleman grid: disk 16x64, nt = 128, m = 2,
+    # lambda in {1, 4, 16}, R in {1, 2, 4}, at every interior time
+    eta = build_eta(build_disk_mesh(1.0, 16, 64))
+    grid = [
+        CarlemanParams(lam=lam, R=R, m=2.0, T=1.0, eta=eta)
+        for lam in (1.0, 4.0, 16.0)
+        for R in (1.0, 2.0, 4.0)
+    ]
+    xi, p = map(np.array, zip(*map(_space_weights, grid)))
+    T, R = np.array([(params.T, params.R) for params in grid]).T[..., None]
+    underflowed = 0
+    for t in np.linspace(0.0, 1.0, 129)[1:-1]:
+        got = _level_weights(T, R, xi, xi**3, p, np.array([t]))
+        want = _plain_exp_level_weights(T, R, xi, xi**3, p, np.array([t]))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        underflowed += np.count_nonzero(want[1] == 0.0)
+    # the skipped lanes are exercised, and not all of them
+    assert 0 < underflowed < 127 * xi.size
+
+
 def test_lhs_zero_state():
     mesh, s, eta, adj = unit_interval_setup()
     p = CarlemanParams(lam=2.0, R=2.0, m=1.5, T=1.0, eta=eta)
@@ -352,8 +394,10 @@ def test_sweep_makes_no_solve_to_t0(monkeypatch):
         def __init__(self, *args):
             super().__init__(*args)
             factor = self.factor
+            # the stepping loop solves in its right-hand side by the core
             self.factor = types.SimpleNamespace(
-                solve=lambda rhs: solved.append(rhs.shape) or factor.solve(rhs)
+                _solve_in_place=lambda rhs: solved.append(rhs.shape)
+                or factor._solve_in_place(rhs)
             )
 
     monkeypatch.setattr(carleman, "Propagator", CountingPropagator)

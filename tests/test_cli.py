@@ -429,6 +429,30 @@ def test_carleman_task_is_deterministic(tmp_path):
     assert summary["lambda_floor_unbounded_nodes"] == 1
 
 
+@pytest.mark.parametrize(
+    "geometry, unbounded",
+    [
+        ({"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 32, "ny": 32}, 1),
+        ({"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 32, "ny": 5}, 0),
+        ({"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 5, "ny": 32}, 0),
+        ({"kind": "disk", "rho": 1.0, "nr": 16, "ntheta": 64}, 1),
+        ({"kind": "interval", "a": 0.0, "b": 1.0, "n": 16}, 1),
+    ],
+    ids=["rect32x32", "rect32x5", "rect5x32", "disk16x64", "interval16"],
+)
+def test_lambda_floor_counts_interior_critical_points_only(tmp_path, geometry, unbounded):
+    # a rectangle's corners whose one cell lies wholly on Gamma have a
+    # recovered gradient of exactly 0, but eta = 0 there: they are not
+    # critical points of eta and are not counted
+    cfg = base_config(task="carleman", geometry=geometry, T=1.0, nt=4)
+    cfg["params"] = {"lambda_grid": [1.0], "R_grid": [1.0], "m": 1.5,
+                     "samples": 1, "seed": 7}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "carleman_summary.json").read_text())
+    assert summary["lambda_floor_unbounded_nodes"] == unbounded
+
+
 def test_carleman_cell_without_a_finite_ratio_reads_null(tmp_path):
     # at lambda = 16 exp(-2 R alpha) underflows on Gamma: every rhs is 0
     cfg = base_config(task="carleman", T=1.0, nt=16)

@@ -11,6 +11,7 @@ from dynbc import (
     build_rect_mesh,
     validate_mesh,
 )
+from dynbc.assembly import _p1_cell_gradients
 from dynbc.mesh import _max_cell_diameter
 
 
@@ -345,3 +346,61 @@ def test_eta_is_the_discrete_torsion_function(mesh):
     np.testing.assert_array_equal(eta.laplacian, -1.0)
     smooth = np.setdiff1d(np.arange(mesh.n_boundary), mesh.corner_boundary_indices)
     assert np.all(eta.boundary_normal_derivative[smooth] < 0)
+
+
+def _norm_max_cell_diameter(nodes, cells):
+    """Longest cell edge as the max of the row norms of each node pair's differences."""
+    hmax = 0.0
+    for i in range(cells.shape[1]):
+        for j in range(i + 1, cells.shape[1]):
+            d = np.linalg.norm(nodes[cells[:, i]] - nodes[cells[:, j]], axis=1)
+            hmax = max(hmax, float(d.max()))
+    return hmax
+
+
+def _stacked_p1_cell_gradients(mesh):
+    """Cell volumes and P1 gradients from column_stack'ed rows of node coordinates."""
+    cells = mesh.bulk_cells
+    if mesh.dim == 1:
+        x = mesh.bulk_nodes[:, 0]
+        hc = x[cells[:, 1]] - x[cells[:, 0]]
+        return hc, np.column_stack([-1.0 / hc, 1.0 / hc])[:, :, None]
+    pts = mesh.bulk_nodes
+    a, b, c = pts[cells[:, 0]], pts[cells[:, 1]], pts[cells[:, 2]]
+    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+    G = np.stack(
+        [
+            np.column_stack([b[:, 1] - c[:, 1], c[:, 0] - b[:, 0]]),
+            np.column_stack([c[:, 1] - a[:, 1], a[:, 0] - c[:, 0]]),
+            np.column_stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]]),
+        ],
+        axis=1,
+    ) / area2[:, None, None]
+    return 0.5 * area2, G
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        build_interval_mesh(0, 1, 12),
+        build_rect_mesh(1, 2, 9, 13),
+        build_rect_mesh(2, 1, 13, 9),
+        build_disk_mesh(1, 6, 24),
+        _jittered_rect_mesh(),
+    ],
+    ids=["interval12", "rect9x13", "rect13x9", "disk6x24", "jittered-rect9x7"],
+)
+def test_cell_geometry_kernels_bitwise_equal_row_oracles(mesh):
+    # the flat coordinate passes make the same floating-point operations in
+    # the same order as the row-wise forms they replaced, so no bit moves
+    want = _norm_max_cell_diameter(mesh.bulk_nodes, mesh.bulk_cells)
+    assert _max_cell_diameter(mesh.bulk_nodes, mesh.bulk_cells) == want
+    if mesh.dim == 2:
+        assert mesh.h == want
+    vol, G = _p1_cell_gradients(mesh)
+    want_vol, want_G = _stacked_p1_cell_gradients(mesh)
+    assert G.shape == want_G.shape and G.flags.c_contiguous
+    assert np.array_equal(vol, want_vol)
+    assert np.array_equal(G, want_G)
