@@ -13,8 +13,8 @@ from dynbc import (
     assemble,
     build_interval_mesh,
     duhamel_final,
-    estimate_coercivity,
     norm_X2,
+    smallest_eigenpair,
     solve_forward,
     trajectory_norms,
 )
@@ -22,7 +22,8 @@ from dynbc import (
 mesh = build_interval_mesh(0.0, 1.0, 32)
 sys_ = assemble(mesh, gamma=1.0, delta=0.0, beta=1.0)
 print(f"mesh: {mesh.n_nodes} nodes, h = {mesh.h:.4f}")
-print(f"coercivity constant c = {estimate_coercivity(sys_):.6f}")
+# the coercivity constant: the smallest eigenvalue of the pencil (K, M)
+print(f"coercivity constant c = {smallest_eigenpair(sys_)[0]:.6f}")
 
 T, nt = 1.0, 128
 rng = np.random.default_rng(1)

@@ -11,7 +11,6 @@ from .assembly import (
     ConvergenceError,
     DiscreteSystem,
     assemble,
-    estimate_coercivity,
     inner_X2,
     norm_X2,
     smallest_eigenpair,

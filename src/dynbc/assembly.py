@@ -46,7 +46,6 @@ __all__ = [
     "assemble",
     "inner_X2",
     "norm_X2",
-    "estimate_coercivity",
     "smallest_eigenpair",
 ]
 
@@ -224,14 +223,20 @@ def assemble(
     ----------
     gamma : bulk diffusivity, > 0.
     delta : surface diffusivity, >= 0.
-    beta : boundary reaction; a scalar, an array over boundary nodes, or a
-        callable evaluated at the boundary node coordinates.
+    beta : boundary reaction, >= 0; a scalar or an array over boundary nodes.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    beta_vals = _beta_values(mesh, beta)
+    if np.isscalar(beta):
+        beta = np.full(mesh.n_boundary, float(beta))
+    beta_vals = np.asarray(beta, dtype=float)
+    if beta_vals.shape != (mesh.n_boundary,):
+        raise ValueError(
+            f"beta must give one value per boundary node "
+            f"({mesh.n_boundary}), got shape {beta_vals.shape}"
+        )
     if np.any(beta_vals < 0):
         raise ValueError("beta must be nonnegative at every boundary node")
 
@@ -340,29 +345,6 @@ def smallest_eigenpair(sys: DiscreteSystem) -> tuple[float, np.ndarray]:
     raise ConvergenceError(
         f"inverse power iteration did not converge in {_EIGEN_MAXIT} iterations"
     )
-
-
-def estimate_coercivity(sys: DiscreteSystem) -> float:
-    """Best constant c with x^T K x >= c x^T M x for all x."""
-    c, _ = smallest_eigenpair(sys)
-    return c
-
-
-def _beta_values(mesh: BulkSurfaceMesh, beta) -> np.ndarray:
-    if callable(beta):
-        vals = np.asarray(
-            beta(mesh.bulk_nodes[mesh.boundary_nodes]), dtype=float
-        )
-    elif np.isscalar(beta):
-        vals = np.full(mesh.n_boundary, float(beta))
-    else:
-        vals = np.asarray(beta, dtype=float)
-    if vals.shape != (mesh.n_boundary,):
-        raise ValueError(
-            f"beta must give one value per boundary node "
-            f"({mesh.n_boundary}), got shape {vals.shape}"
-        )
-    return vals
 
 
 def _p1_cell_gradients(mesh: BulkSurfaceMesh) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,9 @@ feed it one stored trajectory.
 Known gap: the sources observe on an interior set off which |grad eta| > 0.
 Here Gamma is observed, where eta = 0 and exp(-2 R alpha) is smallest, and
 eta has an interior critical point, so the ratio LHS / RHS is recorded as
-an empirical constant, not certified.
+an empirical constant, not certified.  There the pointwise floor on lambda,
+2 |Laplace(eta)| / |grad eta|^2, is unbounded; -Laplace(eta) = 1 is imposed,
+so ``pointwise_lambda_floor`` is 2 / |grad eta|^2.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class EtaField:
 
     values: np.ndarray
     gradient: np.ndarray
-    laplacian: np.ndarray
     sup_norm: float
     boundary_normal_derivative: np.ndarray
 
@@ -88,9 +89,9 @@ def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
     boundary values are exact zeros.  eta is not rescaled, so sup eta is
     (b - a)^2 / 8 on [a, b], about rho^2 / 4 on a disk and 0.0737 on the
     unit square.  The gradient is the volume-weighted nodal average of the
-    cell gradients, ``laplacian`` is the -1 the solve imposes, and the
-    boundary normal derivative is the gradient dotted with the outward
-    normals: < 0 off corners, by Hopf's lemma (Gilbarg-Trudinger, Lemma 3.4).
+    cell gradients, and the boundary normal derivative is the gradient dotted
+    with the outward normals: < 0 off corners, by Hopf's lemma
+    (Gilbarg-Trudinger, Lemma 3.4).
     """
     m, K = _bulk_operators(mesh)
     interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
@@ -102,7 +103,6 @@ def build_eta(mesh: BulkSurfaceMesh) -> EtaField:
     return EtaField(
         values=values,
         gradient=gradient,
-        laplacian=np.full(mesh.n_nodes, -1.0),
         sup_norm=float(values.max()),
         boundary_normal_derivative=np.sum(
             gradient[mesh.boundary_nodes] * mesh.outward_normals, axis=1
@@ -328,7 +328,8 @@ def weight_bounds(params: CarlemanParams, times: np.ndarray) -> dict:
 
 
 def pointwise_lambda_floor(eta: EtaField) -> np.ndarray:
-    """Per-node value of 2 |Laplacian(eta)| / |grad eta|^2.
+    """Per-node value of 2 |Laplacian(eta)| / |grad eta|^2, which is 2 / |grad eta|^2
+    since ``build_eta`` imposes -Laplace(eta) = 1.
 
     The pointwise lower bound on lambda blows up where grad eta vanishes
     (the interior critical point eta must have); such nodes report inf.
@@ -343,7 +344,7 @@ def pointwise_lambda_floor(eta: EtaField) -> np.ndarray:
     grad_sq = np.sum(eta.gradient**2, axis=1)
     out = np.full(eta.values.size, np.inf)
     nz = grad_sq > np.finfo(float).eps * grad_sq.max()
-    out[nz] = 2.0 * np.abs(eta.laplacian[nz]) / grad_sq[nz]
+    out[nz] = 2.0 / grad_sq[nz]
     return out
 
 

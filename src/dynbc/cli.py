@@ -14,14 +14,13 @@ A config is a single JSON object:
       "gamma": 1.0, "delta": 0.0,
       "beta": {"kind": "constant", "value": 1.0}
             | {"kind": "profile", "name": "cosine_bump", "base": 1.0, "amplitude": 0.5},
-      "beta0": 1.0,
       "T": 1.0, "nt": 128, "theta": 0.5,
       "params": { ... task-specific ... },
       "output_dir": "runs/exp1"          # optional
     }
 
-Artifacts go to --out DIR if given, else to output_dir, else to the
-current directory.
+Keys outside this schema are not read.  Artifacts go to --out DIR if given,
+else to output_dir, else to the current directory.
 
 Task parameters:
 
@@ -75,7 +74,7 @@ import scipy
 from . import __version__
 from .assembly import assemble, norm_X2, smallest_eigenpair
 from .carleman import CarlemanParams, build_eta, carleman_sweep, pointwise_lambda_floor
-from .control import ControlProblem, synthesize_ladder, verify_null
+from .control import ControlProblem, control_sample_times, synthesize_ladder, verify_null
 from .evolution import (
     BoundarySignal,
     _write_series,
@@ -89,9 +88,10 @@ from .observability import estimate_CT
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "main"]
 
-_TASKS = ("simulate", "adjoint", "carleman", "observability", "control")
 _SIGNAL_KINDS = ("zero", "constant", "random")
 _FIELD_KINDS = _SIGNAL_KINDS + ("eigenmode",)
+# what an exit-2 message calls a tuple of accepted types
+_TYPE_NAMES = {(int, float): "number", (int, float, list): "number or list"}
 # the wide-block solves' bytes depend on the BLAS thread count through dlauum
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -141,7 +141,7 @@ def _need(data: dict, path: str, types):
     val = data[key]
     if not isinstance(val, types):
         raise ConfigError(
-            f"{path}: expected {getattr(types, '__name__', types)}, "
+            f"{path}: expected {_TYPE_NAMES.get(types) or types.__name__}, "
             f"got {type(val).__name__}"
         )
     return val
@@ -201,24 +201,12 @@ def _geometry(geo: dict):
 def _validate(data: dict) -> None:
     task = _need(data, "task", str)
     if task not in _TASKS:
-        raise ConfigError(f"task: must be one of {_TASKS}, got {task!r}")
+        raise ConfigError(f"task: must be one of {tuple(_TASKS)}, got {task!r}")
 
     _geometry(_need(data, "geometry", dict))
     _num(data, "gamma", above=0)
     _num(data, "delta", least=0)
-    beta = _need(data, "beta", dict)
-    bkind = _need(beta, "beta.kind", str)
-    if bkind == "constant":
-        _num(beta, "beta.value", least=0)
-    elif bkind == "profile":
-        name = _need(beta, "beta.name", str)
-        if name != "cosine_bump":
-            raise ConfigError(f"beta.name: unknown profile {name!r}")
-        _num(beta, "beta.base", least=0)
-        _num(beta, "beta.amplitude", least=0)
-    else:
-        raise ConfigError(f"beta.kind: must be constant or profile, got {bkind!r}")
-    _num(data, "beta0", least=0)
+    _beta(data)
 
     _num(data, "T", above=0)
     nt = _int(data, "nt", least=1)
@@ -229,12 +217,9 @@ def _validate(data: dict) -> None:
         raise ConfigError(f"theta: must be 0.5 or 1, got {theta}")
 
     params = _need(data, "params", dict)
-    if task == "simulate":
-        _field_spec(params, "u0", _FIELD_KINDS)
-        _field_spec(params, "g", _SIGNAL_KINDS)
-    elif task == "adjoint":
-        _field_spec(params, "phi_T", _FIELD_KINDS)
-    elif task == "carleman":
+    for name, kinds in _TASKS[task][1].items():
+        _field(params, name, kinds)
+    if task == "carleman":
         for grid in ("lambda_grid", "R_grid"):
             vals = _need(params, f"params.{grid}", list)
             if not vals or not all(_finite(v) and v > 0 for v in vals):
@@ -246,7 +231,6 @@ def _validate(data: dict) -> None:
         if not _num(params, "params.m") > 1:
             raise ConfigError("params.m: must exceed 1")
     elif task == "control":
-        _field_spec(params, "u0", _FIELD_KINDS)
         eps = _need(params, "params.eps", (int, float, list))
         eps_list = eps if isinstance(eps, list) else [eps]
         if not eps_list or not all(_finite(e) and e > 0 for e in eps_list):
@@ -265,43 +249,50 @@ def _validate(data: dict) -> None:
         raise ConfigError("output_dir: expected string")
 
 
-def _field_spec(params: dict, name: str, kinds: tuple) -> None:
+def _beta(data: dict):
+    """Check the beta section; return mesh -> beta at its boundary nodes."""
+    beta = _need(data, "beta", dict)
+    kind = _need(beta, "beta.kind", str)
+    if kind == "constant":
+        value = _num(beta, "beta.value", least=0)
+        return lambda mesh: np.full(mesh.n_boundary, value)
+    if kind != "profile":
+        raise ConfigError(f"beta.kind: must be constant or profile, got {kind!r}")
+    name = _need(beta, "beta.name", str)
+    if name != "cosine_bump":
+        raise ConfigError(f"beta.name: unknown profile {name!r}")
+    base = _num(beta, "beta.base", least=0)
+    amplitude = _num(beta, "beta.amplitude", least=0)
+
+    def cosine_bump(mesh):  # base + amplitude (1 + cos(polar angle or position)) / 2
+        if mesh.dim == 1:
+            phase = np.pi * np.arange(mesh.n_boundary)
+        else:
+            x, y = mesh.bulk_nodes[mesh.boundary_nodes].T
+            phase = np.arctan2(y, x)
+        return base + amplitude * (1.0 + np.cos(phase)) / 2.0
+
+    return cosine_bump
+
+
+def _field(params: dict, name: str, kinds: tuple):
+    """Check a field or signal spec; return (sys, shape) -> its values."""
     spec = _need(params, f"params.{name}", dict)
     kind = _need(spec, f"params.{name}.kind", str)
     if kind not in kinds:
         raise ConfigError(f"params.{name}.kind: must be one of {kinds}, got {kind!r}")
-    if kind == "constant":
-        _num(spec, f"params.{name}.value")
+    if kind == "eigenmode":
+        return _eigenmode
     if kind == "random":
-        _int(spec, f"params.{name}.seed", least=0)
+        seed = _int(spec, f"params.{name}.seed", least=0)
+        return lambda sys_, shape: np.random.default_rng(seed).standard_normal(shape)
+    value = _num(spec, f"params.{name}.value") if kind == "constant" else 0.0
+    return lambda sys_, shape: np.full(shape, value)
 
 
-def _build_beta(mesh, beta: dict, beta0: float) -> np.ndarray:
-    if beta["kind"] == "constant":
-        vals = np.full(mesh.n_boundary, float(beta["value"]))
-    else:
-        # cosine_bump: base + amplitude (1 + cos(polar angle or position)) / 2
-        coords = mesh.bulk_nodes[mesh.boundary_nodes]
-        if mesh.dim == 1:
-            phase = np.pi * np.arange(mesh.n_boundary)
-        else:
-            phase = np.arctan2(coords[:, 1], coords[:, 0])
-        vals = beta["base"] + beta["amplitude"] * (1.0 + np.cos(phase)) / 2.0
-    if vals.min() < beta0:
-        raise ConfigError(
-            f"beta0: declared lower bound {beta0} exceeds realized "
-            f"min beta = {vals.min()}"
-        )
-    return vals
-
-
-def _values(sys_, spec: dict, shape) -> np.ndarray:
-    """The values of a field or signal spec, as an array of the given shape."""
-    if spec["kind"] == "eigenmode":
-        return smallest_eigenpair(sys_)[1]
-    if spec["kind"] == "random":
-        return np.random.default_rng(spec["seed"]).standard_normal(shape)
-    return np.full(shape, float(spec["value"] if spec["kind"] == "constant" else 0))
+def _eigenmode(sys_, shape) -> np.ndarray:
+    """The values of an eigenmode field: the lowest (K, M) eigenmode."""
+    return smallest_eigenpair(sys_)[1]
 
 
 def _write_csv(path, header: str, rows, config_hash: str) -> None:
@@ -343,15 +334,13 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     try:
         build_mesh, args = _geometry(data["geometry"])
         mesh = build_mesh(*args)
-        beta = _build_beta(mesh, data["beta"], data["beta0"])
+        beta = _beta(data)(mesh)
         task = data["task"]
+        runner, specs = _TASKS[task]
+        fields = {name: _field(data["params"], name, kinds) for name, kinds in specs.items()}
         # the observability estimate and the lowest (K, M) eigenmode need K
-        # positive definite; validation allows eigenmode in field specs only
-        eigenmode = any(
-            isinstance(v, dict) and v.get("kind") == "eigenmode"
-            for v in data["params"].values()
-        )
-        if (task == "observability" or eigenmode) and not beta.min() > 0:
+        # positive definite
+        if (task == "observability" or _eigenmode in fields.values()) and not beta.min() > 0:
             raise ConfigError(
                 "beta: must be > 0 at every boundary node for observability or "
                 f"an eigenmode field, got min beta = {beta.min()}"
@@ -359,14 +348,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
         # made once the config has passed its last check, on beta
         _make_out_dir(out, out_dir)
         sys_ = assemble(mesh, data["gamma"], data["delta"], beta)
-        runner = {
-            "simulate": _run_simulate,
-            "adjoint": _run_adjoint,
-            "carleman": _run_carleman,
-            "observability": _run_observability,
-            "control": _run_control,
-        }[task]
-        runner(sys_, config, out, manifest)
+        runner(sys_, config, out, manifest, **fields)
         _write_json(os.path.join(out, "manifest.json"), manifest)
         return 0
     except ConfigError:
@@ -431,21 +413,20 @@ def _trajectory_artifacts(sys_, traj, config, out, manifest, prefix: str) -> Non
     manifest["summary"][f"{prefix}_final_norm"] = float(norms[-1])
 
 
-def _run_simulate(sys_, config, out, manifest) -> None:
+def _run_simulate(sys_, config, out, manifest, u0, g) -> None:
     data = config.raw
-    p = data["params"]
-    U0 = _values(sys_, p["u0"], sys_.ndof)
+    U0 = u0(sys_, sys_.ndof)
     # a zero signal is no source term at all
-    g = None if p["g"]["kind"] == "zero" else BoundarySignal(
-        _values(sys_, p["g"], (data["nt"] + 1, sys_.n_boundary))
+    signal = None if data["params"]["g"]["kind"] == "zero" else BoundarySignal(
+        g(sys_, (data["nt"] + 1, sys_.n_boundary))
     )
-    traj = solve_forward(sys_, U0, g, data["T"], data["nt"], data["theta"])
+    traj = solve_forward(sys_, U0, signal, data["T"], data["nt"], data["theta"])
     _trajectory_artifacts(sys_, traj, config, out, manifest, "simulate")
 
 
-def _run_adjoint(sys_, config, out, manifest) -> None:
+def _run_adjoint(sys_, config, out, manifest, phi_T) -> None:
     data = config.raw
-    PhiT = _values(sys_, data["params"]["phi_T"], sys_.ndof)
+    PhiT = phi_T(sys_, sys_.ndof)
     traj = solve_backward(sys_, PhiT, data["T"], data["nt"], data["theta"])
     _trajectory_artifacts(sys_, traj, config, out, manifest, "adjoint")
 
@@ -515,10 +496,10 @@ def _run_observability(sys_, config, out, manifest) -> None:
     manifest["summary"]["CT_estimate"] = report.CT_estimate
 
 
-def _run_control(sys_, config, out, manifest) -> None:
+def _run_control(sys_, config, out, manifest, u0) -> None:
     data = config.raw
     p = data["params"]
-    U0 = _values(sys_, p["u0"], sys_.ndof)
+    U0 = u0(sys_, sys_.ndof)
     eps_list = p["eps"] if isinstance(p["eps"], list) else [p["eps"]]
     solver = {key: p[key] for key in ("cg_tol", "cg_maxit") if key in p}
 
@@ -530,13 +511,14 @@ def _run_control(sys_, config, out, manifest) -> None:
         for eps in eps_list
     ]
     results = synthesize_ladder(problems)
+    times = control_sample_times(data["T"], data["nt"], data["theta"])
 
     for idx, (eps, problem, result) in enumerate(zip(eps_list, problems, results)):
         report = verify_null(problem, result)
         with _artifact(manifest, out, f"control_{idx}.csv") as path:
             _write_series(
                 path,
-                result.g_times,
+                times,
                 result.g.values,
                 "t,boundary_node,g",
                 [f"config_hash={config.config_hash}"],
@@ -574,6 +556,17 @@ def _run_control(sys_, config, out, manifest) -> None:
         raise RuntimeError(
             f"control rungs {stalled} stopped at cg_maxit without meeting cg_tol"
         )
+
+
+# each task's runner and the field and signal specs it reads, with the kinds
+# each accepts; the runner takes the specs' value builders by name
+_TASKS = {
+    "simulate": (_run_simulate, {"u0": _FIELD_KINDS, "g": _SIGNAL_KINDS}),
+    "adjoint": (_run_adjoint, {"phi_T": _FIELD_KINDS}),
+    "carleman": (_run_carleman, {}),
+    "observability": (_run_observability, {}),
+    "control": (_run_control, {"u0": _FIELD_KINDS}),
+}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -95,8 +95,7 @@ class ControlProblem:
 class ControlResult:
     """Synthesized control and its certificates."""
 
-    g: BoundarySignal  # per-step theta-level samples, shape (nt, n_boundary)
-    g_times: np.ndarray
+    g: BoundarySignal  # per-step samples at control_sample_times, (nt, n_boundary)
     final_norm: float
     control_norm: float
     iterations: int
@@ -110,7 +109,6 @@ class ControlResult:
 
 @dataclass
 class NullControlReport:
-    final_norm: float
     final_norm_refined: float
     duality_residual: float
     optimality_residual: float
@@ -314,7 +312,6 @@ def synthesize_control(problem: ControlProblem, *, _ladder=None) -> ControlResul
     )
     return ControlResult(
         g=BoundarySignal(g_vals),
-        g_times=control_sample_times(problem.T, problem.nt, problem.theta),
         final_norm=final_norm,
         control_norm=control_norm,
         iterations=iterations,
@@ -365,7 +362,7 @@ def verify_null(problem: ControlProblem, result: ControlResult) -> NullControlRe
 
     fine_nt = 2 * nt
     fine_times = control_sample_times(T, fine_nt, theta)
-    coarse_times = result.g_times
+    coarse_times = control_sample_times(T, nt, theta)
     fine_vals = np.empty((fine_nt, sys.n_boundary))
     for j in range(sys.n_boundary):
         fine_vals[:, j] = np.interp(
@@ -385,7 +382,6 @@ def verify_null(problem: ControlProblem, result: ControlResult) -> NullControlRe
     u0n = norm_X2(sys, U0)
     scale = max(u0n**2, u0n * np.sqrt(phi_norm_sq), 1e-300)
     return NullControlReport(
-        final_norm=result.final_norm,
         final_norm_refined=refined_norm,
         duality_residual=dres,
         optimality_residual=opt_res,

@@ -306,14 +306,6 @@ def duality_residual(
     return abs(lhs - boundary_sum)
 
 
-def _dense_propagator(sys: DiscreteSystem):
-    """Eigendecomposition of the pencil (K, M): K V = M V diag(w), V^T M V = I."""
-    Kd = sys.K.toarray()
-    Md = sys.M.toarray()
-    w, V = sla.eigh(Kd, Md)
-    return w, V
-
-
 def duhamel_final(
     sys: DiscreteSystem,
     U0: np.ndarray,
@@ -339,7 +331,8 @@ def duhamel_final(
         raise ValueError(f"need T >= 0, got {T}")
     if T == 0:
         return U0.copy()
-    w, V = _dense_propagator(sys)
+    # K V = M V diag(w) with V^T M V = I
+    w, V = sla.eigh(sys.K.toarray(), sys.M.toarray())
 
     def propagate(tau: float, vec: np.ndarray) -> np.ndarray:
         # exp(tau A) vec = V exp(-tau w) V^T M vec

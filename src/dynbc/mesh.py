@@ -189,27 +189,31 @@ def build_disk_mesh(rho: float, nr: int, ntheta: int) -> BulkSurfaceMesh:
 
 
 def validate_mesh(mesh: BulkSurfaceMesh) -> None:
-    """Check structural invariants; raises AssertionError on violation.
+    """Check structural invariants; AssertionError names the first violated.
 
-    - boundary node indices are valid bulk indices,
-    - the boundary of the cell complex equals the stored boundary set,
-    - 1D meshes have exactly two boundary nodes and no edges,
-    - 2D cells are counterclockwise (positive signed area),
-    - normals have unit length within 1e-12.
+    The checks raise explicitly, so ``python -O`` does not turn them off.
     """
+
+    def check(ok, invariant: str) -> None:
+        if not ok:
+            raise AssertionError(f"mesh invariant violated: {invariant}")
+
     nb = mesh.boundary_nodes
-    assert nb.min() >= 0 and nb.max() < mesh.n_nodes
+    check(nb.min() >= 0 and nb.max() < mesh.n_nodes, "boundary nodes are bulk indices")
     lengths = np.linalg.norm(mesh.outward_normals, axis=1)
-    assert np.all(np.abs(lengths - 1.0) <= 1e-12)
+    check(np.all(np.abs(lengths - 1.0) <= 1e-12), "normals have unit length within 1e-12")
     if mesh.dim == 1:
-        assert nb.size == 2 and mesh.boundary_edges.size == 0
+        check(nb.size == 2 and mesh.boundary_edges.size == 0,
+              "a 1D mesh has two boundary nodes and no edges")
         counts = np.bincount(mesh.bulk_cells.ravel(), minlength=mesh.n_nodes)
-        assert set(np.flatnonzero(counts == 1)) == set(nb.tolist())
+        check(set(np.flatnonzero(counts == 1)) == set(nb.tolist()),
+              "the 1D boundary nodes are the interval's ends")
     else:
         cells = mesh.bulk_cells
         a, b, c = (mesh.bulk_nodes[cells[:, k]] for k in range(3))
         ab, ac = b - a, c - a
-        assert np.all(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0] > 0.0)
+        check(np.all(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0] > 0.0),
+              "2D cells are counterclockwise (positive signed area)")
         facets = np.sort(
             np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]),
             axis=1,
@@ -217,8 +221,10 @@ def validate_mesh(mesh: BulkSurfaceMesh) -> None:
         unique_facets, counts = np.unique(facets, axis=0, return_counts=True)
         complex_boundary = unique_facets[counts == 1]
         stored = np.unique(np.sort(mesh.boundary_edges, axis=1), axis=0)
-        assert np.array_equal(complex_boundary, stored)
-        assert set(np.unique(mesh.boundary_edges).tolist()) == set(nb.tolist())
+        check(np.array_equal(complex_boundary, stored),
+              "the boundary of the cell complex is the stored boundary edges")
+        check(set(np.unique(mesh.boundary_edges).tolist()) == set(nb.tolist()),
+              "the boundary nodes are the nodes of the boundary edges")
 
 
 def _max_cell_diameter(nodes: np.ndarray, cells: np.ndarray) -> float:

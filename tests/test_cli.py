@@ -9,7 +9,8 @@ import scipy
 
 import dynbc
 from dynbc import cli
-from dynbc.cli import ConfigError, ExperimentConfig, main, run
+from dynbc.cli import ConfigError, ExperimentConfig, main
+from dynbc.control import control_sample_times
 
 
 def base_config(task="simulate", **overrides):
@@ -19,7 +20,6 @@ def base_config(task="simulate", **overrides):
         "gamma": 1.0,
         "delta": 0.0,
         "beta": {"kind": "constant", "value": 1.0},
-        "beta0": 1.0,
         "T": 0.5,
         "nt": 8,
         "theta": 0.5,
@@ -242,7 +242,8 @@ _EXIT_2_MESSAGES = [
     ("disk-ntheta", _geometry(_DISK, ntheta=7), "geometry.ntheta: must be >= 8"),
     ("beta-base", _beta_profile(base=-1.0), "beta.base: must be >= 0"),
     ("beta-amplitude", _beta_profile(amplitude=-0.5), "beta.amplitude: must be >= 0"),
-    ("beta0", lambda c: c.update(beta0=-1), "beta0: must be >= 0"),
+    ("gamma-string", lambda c: c.update(gamma="1"), "gamma: expected number, got str"),
+    ("eps-string", _control(eps="1e-4"), "params.eps: expected number or list, got str"),
     ("carleman-samples", _task("carleman", _CARLEMAN, samples=0),
      "params.samples: must be >= 1"),
     ("carleman-seed", _task("carleman", _CARLEMAN, seed=-1), "params.seed: must be >= 0"),
@@ -355,17 +356,6 @@ def test_carleman_repeated_grid_value_exit_2(tmp_path, capsys, grid):
 def test_unknown_task_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(base_config(task="explode"))
-
-
-def test_beta0_checked_against_profile(tmp_path):
-    cfg = base_config()
-    cfg["beta"] = {"kind": "constant", "value": 0.5}
-    cfg["beta0"] = 1.0
-    config = ExperimentConfig.from_dict(cfg)
-    with pytest.raises(ConfigError):
-        run(config, out_dir=str(tmp_path / "out"))
-    # a rejected config leaves no output directory behind
-    assert not (tmp_path / "out").exists()
 
 
 def test_control_eps_sweep_artifacts(tmp_path):
@@ -500,7 +490,7 @@ _BETA_NEEDS = {
 @pytest.mark.parametrize("task", sorted(_BETA_NEEDS))
 def test_beta_with_a_zero_exit_2(tmp_path, capsys, task):
     # observability and the lowest eigenmode need K positive definite
-    cfg = base_config(task=task, params=_BETA_NEEDS[task], beta0=0.0)
+    cfg = base_config(task=task, params=_BETA_NEEDS[task])
     cfg["beta"] = {"kind": "constant", "value": 0.0}
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -519,10 +509,13 @@ def test_beta_with_a_zero_exit_2(tmp_path, capsys, task):
 
 
 def test_beta_zero_runs_tasks_that_need_no_eigenmode(tmp_path):
-    cfg = base_config(beta0=0.0)
+    cfg = base_config()
     cfg["beta"] = {"kind": "constant", "value": 0.0}
     cfg["params"]["u0"] = {"kind": "constant", "value": 1.0}
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    # an eigenmode spec under a key the task does not read is not read
+    cfg["params"]["phi_T"] = {"kind": "eigenmode"}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o2")]) == 0
 
 
 @pytest.mark.parametrize("where", ["--out file", "--out file/sub", "output_dir file/sub"])
@@ -610,7 +603,7 @@ def test_control_csv_bytes_equal_loop_oracle(tmp_path, monkeypatch):
         with open(oracle, "w") as fh:
             fh.write(f"# config_hash={config_hash}\n")
             fh.write("t,boundary_node,g\n")
-            for n, t in enumerate(result.g_times):
+            for n, t in enumerate(control_sample_times(cfg["T"], cfg["nt"], cfg["theta"])):
                 for j in range(result.g.values.shape[1]):
                     row = (t, j, result.g.values[n, j])
                     fh.write(",".join(fmt(v) for v in row) + "\n")
@@ -672,7 +665,7 @@ def _trajectory_bytes(tmp_path, sys_, U0, g, cfg, out):
     return path.read_bytes()
 
 
-def test_profile_beta_on_a_disk(tmp_path, capsys):
+def test_profile_beta_on_a_disk(tmp_path):
     cfg = base_config(geometry={"kind": "disk", "rho": 1.0, "nr": 2, "ntheta": 8})
     cfg["beta"] = {"kind": "profile", "name": "cosine_bump", "base": 1.0, "amplitude": 0.5}
     cfg["params"]["u0"] = {"kind": "random", "seed": 3}
@@ -686,10 +679,20 @@ def test_profile_beta_on_a_disk(tmp_path, capsys):
     U0 = np.random.default_rng(3).standard_normal(sys_.ndof)
     want = _trajectory_bytes(tmp_path, sys_, U0, None, cfg, out)
     assert (out / "simulate_trajectory.csv").read_bytes() == want
-    # the realized minimum is the base, at polar angle pi
-    cfg["beta0"] = 1.001
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: beta0:")
+
+
+def test_keys_outside_the_schema_are_not_read(tmp_path):
+    # beta0, a declared lower bound on beta that earlier configs carry, is
+    # one such key: above min beta, it changes only the config hash
+    runs = {}
+    for name, extra in (("plain", {}), ("beta0", {"beta0": 2.0}), ("note", {"note": [1]})):
+        cfg = base_config(**extra)
+        cfg["params"]["u0"] = {"kind": "random", "seed": 3}
+        out = tmp_path / name
+        assert main(["run", write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]) == 0
+        runs[name] = (out / "simulate_trajectory.csv").read_bytes().split(b"\n", 1)
+    assert runs["beta0"][0] != runs["plain"][0]
+    assert runs["beta0"][1] == runs["plain"][1] == runs["note"][1]
 
 
 def test_constant_boundary_signal(tmp_path):

@@ -136,8 +136,7 @@ def test_verify_null_report(theta):
     rep = verify_null(prob, res)
     assert rep.duality_residual <= 1e-10 * max(1.0, norm_X2(s, U0) ** 2)
     assert rep.optimality_residual <= 10 * prob.cg_tol * rep.optimality_scale
-    assert rep.final_norm_refined <= 2 * rep.final_norm
-    assert rep.final_norm == res.final_norm
+    assert rep.final_norm_refined <= 2 * res.final_norm
 
 
 def test_verify_null_zero_case():
@@ -145,7 +144,7 @@ def test_verify_null_zero_case():
     prob = ControlProblem(sys=s, U0=np.zeros(s.ndof), T=1.0, nt=16, eps=1e-4)
     res = synthesize_control(prob)
     rep = verify_null(prob, res)
-    assert rep.final_norm == 0.0
+    assert res.final_norm == 0.0
     assert rep.final_norm_refined == 0.0
     assert rep.duality_residual == 0.0
     assert rep.optimality_residual == 0.0

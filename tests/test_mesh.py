@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import dynbc
 from dynbc import (
     assemble,
     build_disk_mesh,
@@ -283,9 +288,29 @@ def test_validate_mesh_rejects_wrong_boundary_edges():
         validate_mesh(dataclasses.replace(m, bulk_cells=cells))
 
 
+def test_validate_mesh_checks_under_python_O():
+    # the checks raise explicitly, so -O, which strips assert statements,
+    # does not turn them off
+    script = textwrap.dedent("""
+        import dataclasses
+        from dynbc import build_rect_mesh, validate_mesh
+        m = build_rect_mesh(1, 1, 3, 3)
+        edges = m.boundary_edges.copy()
+        edges[0] = (m.boundary_nodes[0], m.n_nodes // 2)
+        validate_mesh(dataclasses.replace(m, boundary_edges=edges))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dynbc.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "mesh invariant violated: the boundary of the cell complex" in proc.stderr
+
+
 def test_eta_laplacian_matches_second_differences():
     # on the structured rectangle the lumped P1 Laplacian is the 5-point
-    # stencil, so centered second differences of eta equal its Laplacian, -1
+    # stencil, so centered second differences of eta equal -1, the Laplacian
+    # the torsion solve imposes
     nx, ny, lx, ly = 8, 6, 1.3, 0.7
     m = build_rect_mesh(lx, ly, nx, ny)
     eta = build_eta(m)
@@ -296,16 +321,19 @@ def test_eta_laplacian_matches_second_differences():
     lap = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hx**2 + (
         v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]
     ) / hy**2
-    got = eta.laplacian[grid][1:-1, 1:-1]
-    np.testing.assert_allclose(got, lap, rtol=1e-9)
+    np.testing.assert_allclose(lap, -1.0, rtol=1e-9)
 
     m = build_interval_mesh(-0.5, 1.5, 10)
     eta = build_eta(m)
     h = 2.0 / 10
     lap = (eta.values[2:] - 2 * eta.values[1:-1] + eta.values[:-2]) / h**2
-    np.testing.assert_allclose(eta.laplacian[1:-1], lap, rtol=1e-9)
+    np.testing.assert_allclose(lap, -1.0, rtol=1e-9)
 
-    np.testing.assert_array_equal(build_eta(build_disk_mesh(1.5, 3, 12)).laplacian, -1.0)
+    m = build_disk_mesh(1.5, 3, 12)
+    interior = np.setdiff1d(np.arange(m.n_nodes), m.boundary_nodes)
+    s = assemble(m, 1.0, 0.0, 1.0)
+    lap = -(s.K_bulk @ build_eta(m).values)[interior] / s.m_bulk[interior]
+    np.testing.assert_allclose(lap, -1.0, rtol=1e-9)
 
 
 def _jittered_rect_mesh():
@@ -343,7 +371,6 @@ def test_eta_is_the_discrete_torsion_function(mesh):
     s = assemble(mesh, 1.0, 0.0, 1.0)
     lap = -(s.K_bulk @ eta.values)[interior] / s.m_bulk[interior]
     np.testing.assert_allclose(lap, -1.0, rtol=1e-9)
-    np.testing.assert_array_equal(eta.laplacian, -1.0)
     smooth = np.setdiff1d(np.arange(mesh.n_boundary), mesh.corner_boundary_indices)
     assert np.all(eta.boundary_normal_derivative[smooth] < 0)
 
