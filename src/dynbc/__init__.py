@@ -32,7 +32,6 @@ from .control import (
     NullControlReport,
     gramian_apply,
     synthesize_control,
-    synthesize_ladder,
     verify_null,
 )
 from .evolution import (

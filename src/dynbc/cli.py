@@ -74,7 +74,7 @@ import scipy
 from . import __version__
 from .assembly import assemble, norm_X2, smallest_eigenpair
 from .carleman import CarlemanParams, build_eta, carleman_sweep, pointwise_lambda_floor
-from .control import ControlProblem, control_sample_times, synthesize_ladder, verify_null
+from .control import ControlProblem, control_sample_times, synthesize_control, verify_null
 from .evolution import (
     BoundarySignal,
     _write_series,
@@ -503,17 +503,13 @@ def _run_control(sys_, config, out, manifest, u0) -> None:
     eps_list = p["eps"] if isinstance(p["eps"], list) else [p["eps"]]
     solver = {key: p[key] for key in ("cg_tol", "cg_maxit") if key in p}
 
-    problems = [
-        ControlProblem(
-            sys=sys_, U0=U0, T=data["T"], nt=data["nt"], theta=data["theta"],
-            eps=float(eps), **solver,
-        )
-        for eps in eps_list
-    ]
-    results = synthesize_ladder(problems)
+    problem = ControlProblem(
+        sys=sys_, U0=U0, T=data["T"], nt=data["nt"], theta=data["theta"], **solver
+    )
+    results = [synthesize_control(problem, float(eps)) for eps in eps_list]
     times = control_sample_times(data["T"], data["nt"], data["theta"])
 
-    for idx, (eps, problem, result) in enumerate(zip(eps_list, problems, results)):
+    for idx, result in enumerate(results):
         report = verify_null(problem, result)
         with _artifact(manifest, out, f"control_{idx}.csv") as path:
             _write_series(
@@ -528,7 +524,7 @@ def _run_control(sys_, config, out, manifest, u0) -> None:
                 path,
                 {
                     "config_hash": config.config_hash,
-                    "eps": float(eps),
+                    "eps": result.eps,
                     "final_norm": result.final_norm,
                     "control_norm": result.control_norm,
                     "iterations": result.iterations,
@@ -544,8 +540,8 @@ def _run_control(sys_, config, out, manifest, u0) -> None:
             manifest["summary"][f"non_converged_eps{idx}"] = True
 
     if len(eps_list) > 1:
-        rows = [(eps, r.final_norm, r.control_norm, r.iterations, r.cost)
-                for eps, r in zip(eps_list, results)]
+        rows = [(r.eps, r.final_norm, r.control_norm, r.iterations, r.cost)
+                for r in results]
         with _artifact(manifest, out, "eps_scaling.csv") as path:
             _write_csv(path, "eps,final_norm,control_norm,iterations,cost", rows,
                        config.config_hash)

@@ -14,13 +14,15 @@ the exact transpose of the forward step.  The penalized problem
 is solved in the M inner product by Lanczos with a fully reorthogonalized
 basis, whose iterates are those of conjugate gradients in exact arithmetic
 (each operator application is one backward plus one forward solve, all on
-one factored Propagator).  A ladder of penalties shares Lambda and the
-right-hand side, and the Krylov basis does not depend on the shift, so
-``synthesize_ladder`` solves every rung in one basis with one Gramian apply
-per iteration: each rung solves its own small tridiagonal system and stops
-at the first iteration where its residual is within cg_tol of ||b||_M, and
-is bit for bit the solve of its eps alone.  ``synthesize_control`` is a
-ladder of one.
+one factored Propagator).  Every penalty shares Lambda and the right-hand
+side, and the Krylov basis does not depend on the shift, so a
+``ControlProblem`` owns one Propagator and one basis, and a ladder of
+penalties is one ``synthesize_control(problem, eps)`` call per eps: each
+grows the basis only past what earlier calls grew, solves its own small
+tridiagonal system, stops at the first iteration where its residual is
+within cg_tol of ||b||_M, and is bit for bit the solve of its eps on a
+fresh problem.  A ladder costs one Gramian apply per iteration of its
+slowest rung.
 
 The control is the negated theta-level adjoint trace, g = -phi_G, and
 drives the state to exactly U(T) = eps PhiHat_T, up to the
@@ -48,6 +50,7 @@ Lambda; no fixed rate is promised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,29 +63,34 @@ __all__ = [
     "NullControlReport",
     "gramian_apply",
     "synthesize_control",
-    "synthesize_ladder",
     "verify_null",
     "control_sample_times",
     "signal_norm_L2",
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ControlProblem:
-    """A null-control instance: system, initial state, horizon, and solver knobs."""
+    """A null-control instance: system, initial state, horizon, and solver knobs.
+
+    The problem owns what every eps shares: its Propagator, factored once,
+    and the Krylov basis of the Gramian from b = e^{T A} U0, which each
+    ``synthesize_control`` call grows only as far as its eps needs.
+    """
 
     sys: DiscreteSystem
     U0: np.ndarray
     T: float
     nt: int
     theta: float = 0.5
-    eps: float = 1e-6
     cg_tol: float = 1e-8
     cg_maxit: int = 500
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        # a read-only copy: the cached basis starts from this U0
+        U0 = np.array(self.U0, dtype=float)
+        U0.flags.writeable = False
+        object.__setattr__(self, "U0", U0)
         if not 0.0 < self.cg_tol < 1.0:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if self.nt < 2:
@@ -90,12 +98,25 @@ class ControlProblem:
         if self.cg_maxit < 1:
             raise ValueError(f"cg_maxit must be >= 1, got {self.cg_maxit}")
 
+    @cached_property
+    def _prop(self) -> Propagator:
+        return Propagator(self.sys, self.T, self.nt, self.theta)
+
+    @cached_property
+    def _krylov(self) -> _Lanczos:
+        # the operator closes over the Propagator, not self, so that a problem
+        # and its basis form no reference cycle
+        prop = self._prop
+        b = prop.forward_final(self.U0, None)
+        return _Lanczos(self.sys, lambda v: gramian_apply(prop, v), b, self.cg_maxit)
+
 
 @dataclass
 class ControlResult:
     """Synthesized control and its certificates."""
 
     g: BoundarySignal  # per-step samples at control_sample_times, (nt, n_boundary)
+    eps: float
     final_norm: float
     control_norm: float
     iterations: int
@@ -156,162 +177,129 @@ def _ritz_iterate(V, betas, pivots, rhs):
     return y @ V[:k]
 
 
-def _cg_in_M(sys, apply_op, b, shifts, tol, maxit):
-    """Multi-shift Lanczos with full reorthogonalization in the M inner product.
+class _Lanczos:
+    """Lanczos with full reorthogonalization in the M inner product, grown on demand.
 
-    Solves (A + s I) x_s = b for every s in shifts, where A = apply_op is
-    M-self-adjoint and A + s I is SPD, in one Krylov space with one apply
-    of A per iteration.  The basis V_k starts from b / ||b||_M; each new
-    vector A v_k is made M-orthogonal to every kept vector by two classical
+    The basis of the Krylov space of an M-self-adjoint operator A = apply_op
+    from b, which ``solve`` reads to solve (A + s I) x = b for any shift s
+    that makes A + s I SPD.  V_k starts from b / ||b||_M; each new vector
+    A v_k is made M-orthogonal to every kept vector by two classical
     Gram-Schmidt passes (Simon, Math. Comp. 42, 1984), which keeps the
     Lanczos matrix T_k free of the spurious copies of converged Ritz values
     that a short recurrence picks up.  T_k is tridiagonal: alpha_k is the
     projection of A v_k on v_k, beta_{k+1} the M-norm of what is left.
 
-    Per shift, y_s = (T_k + s I)^{-1} e_1 ||b||_M is updated through the
-    pivots of T_k + s I = L D L^T, and the shift stops at the first k with
-    beta_{k+1} |e_k^T y_s| <= tol ||b||_M: in exact arithmetic that is the
-    residual of the k-th CG iterate, so this is plain CG's stopping rule and
-    iterate.  Each shift records where it stopped, and x_s = V_k y_s is
-    formed once, after the loop.  The basis does not depend on the shifts,
-    so every shift's result is bit for bit the solve of that shift alone.
-
-    Returns one (x, iterations, converged) per entry of shifts, in order,
-    each with its own x.  A shift stops unconverged at its last good
-    iterate (x = 0 at k = 0) when T_k + s I has a pivot that is not
-    positive and finite; every remaining shift stops so when alpha_k or
-    the new vector is not finite, and at the current iterate at maxit, when
-    the basis has ndof vectors, or when beta_{k+1} is 0.  The basis grows
-    with k: after k iterations it holds at most k + 1 vectors,
-    (k + 1) * ndof * 8 bytes, in a buffer that doubles as it fills and is
-    never larger than ndof vectors.
+    The basis grows by one apply of A at a time, only when a solve asks for
+    its next vector, and never depends on the shift, so a solve returns the
+    same bits whatever was solved before it.  After k steps the basis holds
+    at most k + 1 vectors, (k + 1) * ndof * 8 bytes, in a buffer that
+    doubles as it fills and is never larger than min(maxit, ndof) vectors.
     """
-    bnorm = norm_X2(sys, b)
-    if bnorm == 0.0:
-        return [(np.zeros_like(b), 0, True) for _ in shifts]
-    limit = min(maxit, b.size)
-    V = (b / bnorm)[np.newaxis]
-    betas = []
-    pivots = [[] for _ in shifts]
-    rhs = [[] for _ in shifts]
-    stop = [None] * len(shifts)  # (iterations, converged) once a shift stops
-    for k in range(1, limit + 1):
-        Vk = V[:k]
-        w = apply_op(Vk[-1])
+
+    def __init__(self, sys, apply_op, b, maxit):
+        self.sys, self.apply_op, self.b = sys, apply_op, b
+        self.bnorm = norm_X2(sys, b)
+        self.limit = min(maxit, b.size)
+        self.V = (b / self.bnorm)[np.newaxis] if self.bnorm > 0.0 else None
+        self.alphas, self.betas = [], []
+
+    def _step(self):
+        """Apply A to the newest vector: alpha_k, beta_{k+1} and, past them, v_{k+1}."""
+        k = len(self.alphas) + 1
+        Vk = self.V[:k]
+        w = self.apply_op(Vk[-1])
         alpha = 0.0
         for _ in range(2):  # classical Gram-Schmidt, twice
-            h = Vk @ (sys.M_diag * w)
+            h = Vk @ (self.sys.M_diag * w)
             w = w - h @ Vk
             alpha += float(h[-1])
-        beta = norm_X2(sys, w)
-        if not (np.isfinite(alpha) and np.isfinite(beta)):
-            stop = [done or (k - 1, False) for done in stop]
-            break
-        for i, (d, z) in enumerate(zip(pivots, rhs)):
-            if stop[i]:
-                continue
+        beta = norm_X2(self.sys, w)
+        self.alphas.append(alpha)
+        self.betas.append(beta)
+        if np.isfinite(alpha) and np.isfinite(beta) and 0.0 < beta and k < self.limit:
+            if k == len(self.V):
+                grown = np.empty((min(2 * k, self.limit), self.b.size))
+                grown[:k] = self.V
+                self.V = grown
+            self.V[k] = w / beta
+
+    def solve(self, shift, tol):
+        """(x, iterations, converged) of (A + shift I) x = b.
+
+        y = (T_k + s I)^{-1} e_1 ||b||_M is updated through the pivots of
+        T_k + s I = L D L^T, and the solve stops at the first k with
+        beta_{k+1} |e_k^T y| <= tol ||b||_M: in exact arithmetic that is the
+        residual of the k-th CG iterate, so this is plain CG's stopping rule
+        and iterate.  It stops unconverged at its last good iterate (x = 0
+        at k = 0) when T_k + s I has a pivot that is not positive and
+        finite or alpha_k or beta_{k+1} is not finite, and at the current
+        iterate at maxit, when the basis has ndof vectors, or when
+        beta_{k+1} is 0.  x is a new array on every call.
+        """
+        if self.bnorm == 0.0:
+            return np.zeros_like(self.b), 0, True
+        alphas, betas = self.alphas, self.betas
+        pivots, rhs = [], []
+        for k in range(1, self.limit + 1):
+            if k > len(alphas):
+                self._step()
+            alpha, beta = alphas[k - 1], betas[k - 1]
+            if not (np.isfinite(alpha) and np.isfinite(beta)):
+                return _ritz_iterate(self.V, betas, pivots, rhs), k - 1, False
             if k == 1:
-                d.append(alpha + shifts[i])
-                z.append(bnorm)
+                pivot, z = alpha + shift, self.bnorm
             else:
-                lower = betas[-1] / d[-1]
-                d.append(alpha + shifts[i] - lower * betas[-1])
-                z.append(-lower * z[-1])
-            if not (np.isfinite(d[-1]) and d[-1] > 0.0):
-                stop[i] = (k - 1, False)
-            elif beta * abs(z[-1] / d[-1]) <= tol * bnorm:
-                stop[i] = (k, True)
-        if all(stop):
-            break
-        if k == limit or beta == 0.0:
-            stop = [done or (k, False) for done in stop]
-            break
-        betas.append(beta)
-        if k == len(V):
-            grown = np.empty((min(2 * k, limit), b.size))
-            grown[:k] = V
-            V = grown
-        V[k] = w / beta
-    return [
-        (_ritz_iterate(V, betas, d[:iterations], z), iterations, converged)
-        for (iterations, converged), d, z in zip(stop, pivots, rhs)
-    ]
+                lower = betas[k - 2] / pivots[-1]
+                pivot, z = alpha + shift - lower * betas[k - 2], -lower * rhs[-1]
+            if not (np.isfinite(pivot) and pivot > 0.0):
+                return _ritz_iterate(self.V, betas, pivots, rhs), k - 1, False
+            pivots.append(pivot)
+            rhs.append(z)
+            if beta * abs(z / pivot) <= tol * self.bnorm:
+                return _ritz_iterate(self.V, betas, pivots, rhs), k, True
+            if beta == 0.0:
+                break
+        return _ritz_iterate(self.V, betas, pivots, rhs), len(pivots), False
 
 
-def _solve_ladder(problems):
-    """(Propagator, b, {eps: (PhiHat_T, iterations, converged)}) of a ladder.
-
-    ValueError when there are no problems, or when any two differ in sys,
-    U0, T, nt, theta, cg_tol or cg_maxit.  One Propagator, the right-hand
-    side b = e^{T A} U0 and one multi-shift Lanczos solve over every
-    distinct eps serve every rung.
-    """
-    if not problems:
-        raise ValueError("need at least one control problem")
-    first = problems[0]
-    key = (first.T, first.nt, first.theta, first.cg_tol, first.cg_maxit)
-    for other in problems[1:]:
-        if not (
-            other.sys is first.sys
-            and np.array_equal(other.U0, first.U0)
-            and (other.T, other.nt, other.theta, other.cg_tol, other.cg_maxit) == key
-        ):
-            raise ValueError("a control ladder's problems may differ only in eps")
-    prop = Propagator(first.sys, first.T, first.nt, first.theta)
-    b = prop.forward_final(np.asarray(first.U0, dtype=float), None)
-    eps_list = list(dict.fromkeys(p.eps for p in problems))
-    solved = _cg_in_M(
-        first.sys,
-        lambda v: gramian_apply(prop, v),
-        b,
-        eps_list,
-        first.cg_tol,
-        first.cg_maxit,
-    )
-    return prop, b, dict(zip(eps_list, solved))
-
-
-def synthesize_control(problem: ControlProblem, *, _ladder=None) -> ControlResult:
-    """Penalized null-control synthesis for one eps.
+def synthesize_control(problem: ControlProblem, eps: float) -> ControlResult:
+    """Penalized null-control synthesis for one eps on problem.
 
     PhiHat_T solves (Lambda + eps I) PhiHat_T = e^{T A} U0 in the M inner
-    product by Lanczos with a fully reorthogonalized basis, stopped at the
-    first iteration whose CG residual is within cg_tol of ||b||_M.  The
-    result equals ``synthesize_ladder([problem])[0]`` bit for bit.
+    product on problem's Krylov basis, stopped at the first iteration whose
+    CG residual is within cg_tol of ||b||_M; the basis grows only as far as
+    this eps needs beyond what earlier calls grew, and the result does not
+    depend on them.
 
     The control g = -phi_G and PhiHat(0) come from one backward solve of
     PhiHat_T, and the controlled forward run records the achieved final state
     U(T) = eps PhiHat_T and its norm.  The reported cost is the penalized
     objective 0.5 ||g||^2 + (1 / 2 eps) ||U(T)||_M^2, which g minimizes;
     the module docstring states what that implies across a ladder.
-
-    ``_ladder`` is not API: ``synthesize_ladder`` passes its one solve
-    through it, so that each rung is still one call of this function.
     """
-    prop, b, solved = _solve_ladder([problem]) if _ladder is None else _ladder
-    phi_T, iterations, converged = solved[problem.eps]
-    phi_T = phi_T.copy()  # rungs of one eps never share it
-    sys, eps = problem.sys, problem.eps
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    krylov, prop, sys = problem._krylov, problem._prop, problem.sys
+    phi_T, iterations, converged = krylov.solve(eps, problem.cg_tol)
     if iterations == 0:
         g_vals = np.zeros((problem.nt, sys.n_boundary))
         phi_0 = np.zeros(sys.ndof)
-        final_state = b.copy()
+        final_state = krylov.b.copy()
     else:
         phi_0, bound = prop.backward_boundary(phi_T)
         g_vals = -_theta_levels(bound, prop.theta)
-        final_state = prop.forward_final(
-            np.asarray(problem.U0, dtype=float), BoundarySignal(g_vals)
-        )
+        final_state = prop.forward_final(problem.U0, BoundarySignal(g_vals))
 
     final_norm = norm_X2(sys, final_state)
     control_norm = signal_norm_L2(sys, g_vals, prop.dt)
     cost = 0.5 * control_norm**2 + final_norm**2 / (2.0 * eps)
-    b_norm = norm_X2(sys, b)
     true_residual = (
-        norm_X2(sys, final_state - eps * phi_T) / b_norm if b_norm > 0.0 else 0.0
+        norm_X2(sys, final_state - eps * phi_T) / krylov.bnorm
+        if krylov.bnorm > 0.0 else 0.0
     )
     return ControlResult(
         g=BoundarySignal(g_vals),
+        eps=eps,
         final_norm=final_norm,
         control_norm=control_norm,
         iterations=iterations,
@@ -322,20 +310,6 @@ def synthesize_control(problem: ControlProblem, *, _ladder=None) -> ControlResul
         final_state=final_state,
         true_residual=true_residual,
     )
-
-
-def synthesize_ladder(problems) -> list[ControlResult]:
-    """Penalized null-control synthesis for a ladder of penalties.
-
-    The problems may differ only in eps (ValueError otherwise); results come
-    back in their order, and eps need not be sorted or distinct.  Every rung
-    comes from one multi-shift Lanczos solve with one Gramian apply per
-    iteration of the slowest rung, and equals ``synthesize_control(problem)``
-    bit for bit.
-    """
-    problems = list(problems)
-    ladder = _solve_ladder(problems)
-    return [synthesize_control(problem, _ladder=ladder) for problem in problems]
 
 
 def verify_null(problem: ControlProblem, result: ControlResult) -> NullControlReport:
@@ -356,9 +330,8 @@ def verify_null(problem: ControlProblem, result: ControlResult) -> NullControlRe
 
     which is bounded by the Krylov-solve residual.
     """
-    sys = problem.sys
-    U0 = np.asarray(problem.U0, dtype=float)
-    T, nt, theta, eps = problem.T, problem.nt, problem.theta, problem.eps
+    sys, U0 = problem.sys, problem.U0
+    T, nt, theta, eps = problem.T, problem.nt, problem.theta, result.eps
 
     fine_nt = 2 * nt
     fine_times = control_sample_times(T, fine_nt, theta)

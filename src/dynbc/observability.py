@@ -47,12 +47,7 @@ def observation_energy(sys: DiscreteSystem, adj: Trajectory) -> float:
 
     Trapezoidal in time (the integrand is regular here), lumped in space.
     """
-    return _observed_energy(sys, adj.states[:, sys.boundary_nodes], adj.dt)
-
-
-def _observed_energy(sys: DiscreteSystem, phi_g: np.ndarray, dt: float) -> float:
-    """``observation_energy`` from the boundary values phi_g, shape (nt + 1, nb)."""
-    return _trapezoid(_boundary_integrand(sys, phi_g), dt)
+    return _trapezoid(_boundary_integrand(sys, adj.states[:, sys.boundary_nodes]), adj.dt)
 
 
 def _boundary_integrand(sys: DiscreteSystem, phi_g: np.ndarray) -> np.ndarray:

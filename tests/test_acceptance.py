@@ -278,12 +278,11 @@ def test_criterion_9_null_control():
         )
 
     results = {}
+    prob = ControlProblem(
+        sys=s, U0=U0, T=T, nt=nt, theta=theta, cg_tol=cg_tol, cg_maxit=500,
+    )
     for eps in (1e-2, 1e-4, 1e-6):
-        prob = ControlProblem(
-            sys=s, U0=U0, T=T, nt=nt, theta=theta, eps=eps,
-            cg_tol=cg_tol, cg_maxit=500,
-        )
-        res = synthesize_control(prob)
+        res = synthesize_control(prob, eps)
         results[eps] = res
         if not res.converged:
             failures.append(f"CG did not converge at eps={eps}")
@@ -338,9 +337,9 @@ def test_criterion_10_disk_smoke():
     _, ground = smallest_eigenpair(s)
     U0 = ground / norm_X2(s, ground)
     prob = ControlProblem(
-        sys=s, U0=U0, T=1.0, nt=64, theta=0.5, eps=1e-4, cg_tol=1e-8, cg_maxit=500
+        sys=s, U0=U0, T=1.0, nt=64, theta=0.5, cg_tol=1e-8, cg_maxit=500
     )
-    res = synthesize_control(prob)
+    res = synthesize_control(prob, 1e-4)
     if not res.converged:
         failures.append("CG did not converge")
     if res.iterations > s.ndof:

@@ -576,14 +576,13 @@ def test_profile_beta(tmp_path):
 
 def test_control_csv_bytes_equal_loop_oracle(tmp_path, monkeypatch):
     results = []
-    synthesize = cli.synthesize_ladder
+    synthesize = cli.synthesize_control
 
-    def capture(problems):
-        out = synthesize(problems)
-        results.extend(out)
-        return out
+    def capture(problem, eps):
+        results.append(synthesize(problem, eps))
+        return results[-1]
 
-    monkeypatch.setattr(cli, "synthesize_ladder", capture)
+    monkeypatch.setattr(cli, "synthesize_control", capture)
     cfg = base_config(task="control")
     cfg["geometry"] = {"kind": "disk", "rho": 1.0, "nr": 2, "ntheta": 8}
     cfg["params"] = {"u0": {"kind": "random", "seed": 5}, "eps": [1e-2, 1e-4]}
@@ -635,6 +634,25 @@ def test_control_ladder_rungs_equal_runs_of_their_eps_alone(tmp_path):
         single = (alone / "control_0.csv").read_bytes().split(b"\n", 1)
         assert rung[0] != single[0] and rung[1] == single[1]
         assert result(out / f"result_{k}.json") == result(alone / "result_0.json")
+
+
+def test_ladder_finishes_each_rung_by_one_synthesize_control_call(tmp_path, monkeypatch):
+    # the bench tracer reads each rung's iterations from these calls
+    order = [1e-4, 1e-6, 1e-2, 1e-4]
+    calls = []
+    synthesize = cli.synthesize_control
+
+    def recording(problem, eps):
+        calls.append((problem, eps))
+        return synthesize(problem, eps)
+
+    monkeypatch.setattr(cli, "synthesize_control", recording)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, _ladder_config(order)), "--out", str(out)]) == 0
+    assert [eps for _, eps in calls] == order
+    assert len({id(problem) for problem, _ in calls}) == 1
+    assert [json.loads((out / f"result_{k}.json").read_text())["eps"]
+            for k in range(len(order))] == order
 
 
 def test_non_converged_rungs_are_flagged_in_the_summary(tmp_path):

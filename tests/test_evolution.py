@@ -838,10 +838,11 @@ def test_one_factorization_per_time_grid(factor_count):
     s = assemble(mesh, 1.0, 0.0, 1.0)
     U0 = np.random.default_rng(13).standard_normal(s.ndof)
 
-    problem = ControlProblem(sys=s, U0=U0, T=1.0, nt=16, eps=1e-4)
-    result = synthesize_control(problem)
-    assert result.iterations > 1
-    assert len(factor_count) == 1
+    problem = ControlProblem(sys=s, U0=U0, T=1.0, nt=16)
+    results = [synthesize_control(problem, eps) for eps in (1e-2, 1e-4, 1e-6)]
+    assert all(r.iterations > 1 for r in results)
+    assert len(factor_count) == 1  # the problem's Propagator serves every eps
+    result = results[1]
     factor_count.clear()
     verify_null(problem, result)  # refined grid 2 nt only
     assert len(factor_count) == 1

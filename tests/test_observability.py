@@ -94,13 +94,14 @@ def _loop_estimate_CT(sys_, T, nt, samples, seed, theta):
 def _cube_estimate_CT(sys_, T, nt, samples, seed, theta):
     """The reduction estimate_CT made before it reduced each level as it came:
     the boundary rows of every level of every sample from one block
-    backward_boundary, then one _observed_energy per sample."""
+    backward_boundary, then observation_energy's sums per sample."""
     prop = Propagator(sys_, T, nt, theta)
     phi0, bound = prop.backward_boundary(_sample_block(sys_, samples, seed))
     per_sample = []
     for j in range(samples):
         initial = inner_X2(sys_, phi0[:, j], phi0[:, j])
-        observed = observability._observed_energy(sys_, bound[:, :, j], prop.dt)
+        integrand = observability._boundary_integrand(sys_, bound[:, :, j])
+        observed = observability._trapezoid(integrand, prop.dt)
         per_sample.append((initial, observed, initial / observed))
     return per_sample
 
@@ -263,9 +264,9 @@ def test_control_cost_bounded_by_observability():
     _, ground = smallest_eigenpair(s)
     U0 = ground / norm_X2(s, ground)
     prob = ControlProblem(
-        sys=s, U0=U0, T=1.0, nt=128, theta=0.5, eps=1e-6, cg_tol=1e-8, cg_maxit=500
+        sys=s, U0=U0, T=1.0, nt=128, theta=0.5, cg_tol=1e-8, cg_maxit=500
     )
-    res = synthesize_control(prob)
+    res = synthesize_control(prob, 1e-6)
     rep = estimate_CT(s, 1.0, 128, samples=100, seed=8)
     bound = np.sqrt(rep.CT_estimate) * norm_X2(s, U0) * 1.25
     assert res.control_norm <= bound
